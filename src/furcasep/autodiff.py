@@ -9,6 +9,8 @@ scale, the *_scalar helpers).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 Tensor = np.ndarray  # always float64, row-major
@@ -34,7 +36,7 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 class Node:
     """A value in the computation graph, with an optional gradient of the same shape."""
 
-    __slots__ = ("value", "grad", "parents", "op", "trainable", "_backward")
+    __slots__ = ("value", "grad", "parents", "op", "trainable", "_backward", "__weakref__")
 
     def __init__(self, value, parents=(), op="leaf", trainable=False):
         self.value = as_tensor(value)
@@ -67,6 +69,19 @@ class Node:
         return f"Node(op={self.op!r}, shape={self.value.shape}, trainable={self.trainable})"
 
 
+def set_backward(out: Node, backward) -> Node:
+    """Attach an op's gradient rule to its output node and return the node.
+
+    backward(g) receives the output gradient and routes it to the op's
+    inputs. The node reaches the rule through a weak reference to itself,
+    so a graph holds no reference cycles: it is freed as soon as its last
+    outside reference goes, without waiting for the cyclic collector.
+    """
+    ref = weakref.ref(out)
+    out._backward = lambda: backward(ref().grad)
+    return out
+
+
 def constant(x) -> Node:
     return Node(x)
 
@@ -84,42 +99,39 @@ def add(a: Node, b: Node) -> Node:
     _same_shape("add", a, b)
     out = Node(a.value + b.value, (a, b), "add")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad)
+            a.accumulate_grad(g)
         if b.needs_grad:
-            b.accumulate_grad(out.grad)
+            b.accumulate_grad(g)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def sub(a: Node, b: Node) -> Node:
     _same_shape("sub", a, b)
     out = Node(a.value - b.value, (a, b), "sub")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad)
+            a.accumulate_grad(g)
         if b.needs_grad:
-            b.accumulate_grad(-out.grad, own=True)
+            b.accumulate_grad(-g, own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def mul(a: Node, b: Node) -> Node:
     _same_shape("mul", a, b)
     out = Node(a.value * b.value, (a, b), "mul")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad * b.value, own=True)
+            a.accumulate_grad(g * b.value, own=True)
         if b.needs_grad:
-            b.accumulate_grad(out.grad * a.value, own=True)
+            b.accumulate_grad(g * a.value, own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -127,14 +139,13 @@ def matmul(a: Node, b: Node) -> Node:
         raise ValueError(f"matmul: shape mismatch {a.value.shape} @ {b.value.shape}")
     out = Node(a.value @ b.value, (a, b), "matmul")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad @ b.value.T, own=True)
+            a.accumulate_grad(g @ b.value.T, own=True)
         if b.needs_grad:
-            b.accumulate_grad(a.value.T @ out.grad, own=True)
+            b.accumulate_grad(a.value.T @ g, own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
@@ -147,8 +158,7 @@ def affine(x: Node, w: Node, b: Node) -> Node:
     y += b.value
     out = Node(y, (x, w, b), "affine")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if x.needs_grad:
             x.accumulate_grad(g @ w.value.T, own=True)
         if w.needs_grad:
@@ -156,8 +166,7 @@ def affine(x: Node, w: Node, b: Node) -> Node:
         if b.needs_grad:
             b.accumulate_grad(g.sum(axis=0), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def conv1d_valid(x: Node, k: Node, stride: int = 1) -> Node:
@@ -174,8 +183,7 @@ def conv1d_valid(x: Node, k: Node, stride: int = 1) -> Node:
     windows = x.value[rows]
     out = Node(windows @ k.value, (x, k), "conv1d_valid")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if k.needs_grad:
             k.accumulate_grad(windows.T @ g, own=True)
         if x.needs_grad:
@@ -183,41 +191,39 @@ def conv1d_valid(x: Node, k: Node, stride: int = 1) -> Node:
             np.add.at(dx, rows, g[:, None] * k.value[None, :])
             x.accumulate_grad(dx, own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def sigmoid(a: Node) -> Node:
-    out = Node(stable_sigmoid(a.value), (a,), "sigmoid")
+    y = stable_sigmoid(a.value)
+    out = Node(y, (a,), "sigmoid")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad * out.value * (1.0 - out.value), own=True)
+            a.accumulate_grad(g * y * (1.0 - y), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def tanh(a: Node) -> Node:
-    out = Node(np.tanh(a.value), (a,), "tanh")
+    y = np.tanh(a.value)
+    out = Node(y, (a,), "tanh")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad * (1.0 - out.value * out.value), own=True)
+            a.accumulate_grad(g * (1.0 - y * y), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def relu(a: Node) -> Node:
     out = Node(np.maximum(a.value, 0.0), (a,), "relu")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad * (a.value > 0.0), own=True)
+            a.accumulate_grad(g * (a.value > 0.0), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def log10(a: Node) -> Node:
@@ -226,34 +232,31 @@ def log10(a: Node) -> Node:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Node(np.log10(a.value), (a,), "log10")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad / (a.value * np.log(10.0)), own=True)
+            a.accumulate_grad(g / (a.value * np.log(10.0)), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def sum(a: Node) -> Node:  # noqa: A001 - mirrors numpy naming
     out = Node(np.sum(a.value), (a,), "sum")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(np.full_like(a.value, float(out.grad)), own=True)
+            a.accumulate_grad(np.full_like(a.value, float(g)), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def mean(a: Node) -> Node:
     out = Node(np.mean(a.value), (a,), "mean")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(np.full_like(a.value, float(out.grad) / a.value.size), own=True)
+            a.accumulate_grad(np.full_like(a.value, float(g) / a.value.size), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def dot(a: Node, b: Node) -> Node:
@@ -261,15 +264,14 @@ def dot(a: Node, b: Node) -> Node:
         raise ValueError(f"dot: shape mismatch {a.value.shape} vs {b.value.shape}")
     out = Node(np.dot(a.value, b.value), (a, b), "dot")
 
-    def backward():
-        g = float(out.grad)
+    def backward(g):
+        g = float(g)
         if a.needs_grad:
             a.accumulate_grad(g * b.value, own=True)
         if b.needs_grad:
             b.accumulate_grad(g * a.value, own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def narrow(a: Node, axis: int, start: int, stop: int) -> Node:
@@ -282,14 +284,13 @@ def narrow(a: Node, axis: int, start: int, stop: int) -> Node:
     sl = (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
     out = Node(a.value[sl], (a,), "narrow")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.value)
-            a.grad[sl] += out.grad
+            a.grad[sl] += g
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def concat(nodes: list[Node], axis: int = 0) -> Node:
@@ -298,16 +299,15 @@ def concat(nodes: list[Node], axis: int = 0) -> Node:
     sizes = [n.value.shape[axis] for n in nodes]
     out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), "concat")
 
-    def backward():
+    def backward(g):
         offset = 0
         for node, size in zip(nodes, sizes):
             if node.needs_grad:
                 sl = (slice(offset, offset + size),) if axis == 0 else (slice(None), slice(offset, offset + size))
-                node.accumulate_grad(out.grad[sl])
+                node.accumulate_grad(g[sl])
             offset += size
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def transpose(a: Node) -> Node:
@@ -315,12 +315,11 @@ def transpose(a: Node) -> Node:
         raise ValueError(f"transpose: 2-D input required, got shape {a.value.shape}")
     out = Node(a.value.T.copy(), (a,), "transpose")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad.T)
+            a.accumulate_grad(g.T)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def broadcast_add(a: Node, b: Node) -> Node:
@@ -329,14 +328,13 @@ def broadcast_add(a: Node, b: Node) -> Node:
         raise ValueError(f"broadcast_add: shape mismatch {a.value.shape} + {b.value.shape}")
     out = Node(a.value + b.value, (a, b), "broadcast_add")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad)
+            a.accumulate_grad(g)
         if b.needs_grad:
-            b.accumulate_grad(out.grad.sum(axis=0), own=True)
+            b.accumulate_grad(g.sum(axis=0), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def scale(a: Node, s: Node) -> Node:
@@ -345,47 +343,43 @@ def scale(a: Node, s: Node) -> Node:
         raise ValueError(f"scale: scalar node must have shape (), got {s.value.shape}")
     out = Node(a.value * float(s.value), (a, s), "scale")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad * float(s.value), own=True)
+            a.accumulate_grad(g * float(s.value), own=True)
         if s.needs_grad:
-            s.accumulate_grad(np.sum(out.grad * a.value), own=True)
+            s.accumulate_grad(np.sum(g * a.value), own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def add_scalar(a: Node, c: float) -> Node:
     out = Node(a.value + c, (a,), "add_scalar")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad)
+            a.accumulate_grad(g)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def mul_scalar(a: Node, c: float) -> Node:
     out = Node(a.value * c, (a,), "mul_scalar")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad * c, own=True)
+            a.accumulate_grad(g * c, own=True)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def reshape(a: Node, shape: tuple[int, ...]) -> Node:
     out = Node(a.value.reshape(shape), (a,), "reshape")
 
-    def backward():
+    def backward(g):
         if a.needs_grad:
-            a.accumulate_grad(out.grad.reshape(a.value.shape))
+            a.accumulate_grad(g.reshape(a.value.shape))
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def gather_rows(a: Node, indices) -> Node:
@@ -398,23 +392,22 @@ def gather_rows(a: Node, indices) -> Node:
     unique = len(np.unique(idx)) == idx.size
     out = Node(a.value[idx], (a,), "gather_rows")
 
-    def backward():
+    def backward(g):
         if not a.needs_grad:
             return
         if a.grad is None:
             if unique and idx.size == a.value.shape[0]:
                 # a permutation of all rows: scatter-assign, no zero fill needed
                 a.grad = np.empty_like(a.value)
-                a.grad[idx] = out.grad
+                a.grad[idx] = g
                 return
             a.grad = np.zeros_like(a.value)
         if unique:
-            a.grad[idx] += out.grad
+            a.grad[idx] += g
         else:
-            np.add.at(a.grad, idx, out.grad)
+            np.add.at(a.grad, idx, g)
 
-    out._backward = backward
-    return out
+    return set_backward(out, backward)
 
 
 def _topo_order(root: Node) -> list[Node]:

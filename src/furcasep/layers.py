@@ -5,6 +5,13 @@ utterance-SDR loss head.
 
 Sequence tensors are time-major: an [T*B x F] matrix stores step t of batch
 element b at row t*B + b. Non-recurrent layers are row-wise and do not care.
+
+The BiLSTM runs both directions in one fused op, lstm_sequence. Its inputs
+stack the two directions side by side: the pre-activation is [T*B x 8H] with
+the forward direction's gate columns first, the recurrent matrix is [2H x 4H]
+with the forward rows on top, and the output is [T*B x 2H], forward hidden
+state first. Within a direction the gate columns are ordered input, forget,
+output, cell candidate (i, f, o, g).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamStore
-from .signal import _overlap_add_padded
+from .signal import _overlap_add_padded, overlap_count
 
 LOSS_ENERGY_EPS = 1e-8  # denominator guard inside the differentiable SDR
 
@@ -24,11 +31,6 @@ LOSS_ENERGY_EPS = 1e-8  # denominator guard inside the differentiable SDR
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = math.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def time_reversed_rows(num_steps: int, batch_size: int) -> np.ndarray:
-    """Row permutation that reverses time in a time-major [T*B x F] layout."""
-    return np.arange(num_steps * batch_size).reshape(num_steps, batch_size)[::-1].reshape(-1)
 
 
 class GConvLayer:
@@ -92,8 +94,7 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     xhat = centered * inv_std
     out = Node(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm_rows")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if gain.needs_grad:
             gain.accumulate_grad((g * xhat).sum(axis=0), own=True)
         if bias.needs_grad:
@@ -104,8 +105,7 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
             x.accumulate_grad(inv_std * (dxhat - m1 - xhat * m2), own=True)
 
-    out._backward = backward
-    return out
+    return ad.set_backward(out, backward)
 
 
 class LayerNorm:
@@ -120,104 +120,125 @@ class LayerNorm:
 
 
 def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> Node:
-    """Unrolled LSTM over a time-major [T*B x 4H] pre-activation matrix.
+    """Bidirectional LSTM over a time-major [T*B x 8H] pre-activation matrix.
 
-    pre already contains x_t @ W_in + b; the recurrent term h_{t-1} @ w_rec is
-    added inside the loop. Gate column order: input, forget, output, cell
-    candidate (the three sigmoids form one contiguous slab). Initial states are
-    zero. Backward is hand-rolled BPTT over the cached per-step activations.
+    pre already holds x_t @ W_in + b for both directions: columns [0, 4H) feed
+    the forward direction, [4H, 8H) the backward one. w_rec stacks the two
+    [H x 4H] recurrent matrices, forward rows over backward rows. Within each
+    direction the gate columns are input, forget, output, cell candidate (the
+    three sigmoids form one contiguous slab). Initial states are zero.
+
+    Both directions advance in one loop over steps s: the forward direction
+    reads time s, the backward direction time T-1-s, through stacked
+    [2,B,H] @ [2,H,4H] products. The output is [T*B x 2H], forward hidden
+    state then backward hidden state, both at the row's own time. Backward is
+    hand-rolled BPTT over the cached per-step activations; the recurrent
+    weight gradient is one GEMM per direction after the loop.
     """
-    hidden = w_rec.value.shape[0]
-    if w_rec.value.shape != (hidden, 4 * hidden):
-        raise ValueError(f"lstm_sequence: recurrent matrix shape {w_rec.value.shape} != (H, 4H)")
-    if pre.value.shape != (num_steps * batch_size, 4 * hidden):
+    hidden = w_rec.value.shape[1] // 4
+    if w_rec.value.shape != (2 * hidden, 4 * hidden) or hidden == 0:
+        raise ValueError(f"lstm_sequence: recurrent matrix shape {w_rec.value.shape} != (2H, 4H)")
+    if pre.value.shape != (num_steps * batch_size, 8 * hidden):
         raise ValueError(
-            f"lstm_sequence: pre-activation shape {pre.value.shape} != ({num_steps * batch_size}, {4 * hidden})"
+            f"lstm_sequence: pre-activation shape {pre.value.shape} != ({num_steps * batch_size}, {8 * hidden})"
         )
-    x_pre = pre.value.reshape(num_steps, batch_size, 4 * hidden)
-    u = w_rec.value
-    act = np.empty((num_steps, batch_size, 4 * hidden))  # post-activation gates per step
-    cell = np.empty((num_steps, batch_size, hidden))
+    steps, h4 = num_steps, 4 * hidden
+    x_pre = pre.value.reshape(steps, batch_size, 8 * hidden)
+    x_fwd = x_pre[:, :, :h4]
+    x_bwd = x_pre[::-1, :, h4:]  # step s of the backward direction reads time T-1-s
+    u = w_rec.value.reshape(2, hidden, h4)
+    # per-step caches, step-major: [step, direction, batch, feature]
+    act = np.empty((steps, 2, batch_size, h4))  # post-activation gates
+    cell = np.empty((steps, 2, batch_size, hidden))
     tanh_c = np.empty_like(cell)
     h_all = np.empty_like(cell)
-    a_buf = np.empty((batch_size, 4 * hidden))
-    tmp = np.empty((batch_size, hidden))
-    h = np.zeros((batch_size, hidden))
-    c = np.zeros((batch_size, hidden))
-    sig = a_buf[:, : 3 * hidden]
+    tmp = np.empty((2, batch_size, hidden))
+    h = np.zeros((2, batch_size, hidden))
+    c = np.zeros((2, batch_size, hidden))
     with np.errstate(over="ignore"):  # exp overflow saturates the sigmoid to 0, which is exact
-        for t in range(num_steps):
-            np.matmul(h, u, out=a_buf)
-            a_buf += x_pre[t]
+        for s in range(steps):
+            a = act[s]
+            np.matmul(h, u, out=a)
+            a[0] += x_fwd[s]
+            a[1] += x_bwd[s]
+            sig = a[:, :, : 3 * hidden]
             np.negative(sig, out=sig)
             np.exp(sig, out=sig)
             sig += 1.0
             np.reciprocal(sig, out=sig)
-            np.tanh(a_buf[:, 3 * hidden :], out=a_buf[:, 3 * hidden :])
-            act[t] = a_buf
-            i_t = act[t, :, :hidden]
-            f_t = act[t, :, hidden : 2 * hidden]
-            o_t = act[t, :, 2 * hidden : 3 * hidden]
-            g_t = act[t, :, 3 * hidden :]
-            np.multiply(f_t, c, out=tmp)
-            np.multiply(i_t, g_t, out=cell[t])
-            cell[t] += tmp
-            c = cell[t]
-            np.tanh(c, out=tanh_c[t])
-            np.multiply(o_t, tanh_c[t], out=h_all[t])
-            h = h_all[t]
-    out = Node(h_all.reshape(num_steps * batch_size, hidden), (pre, w_rec), "lstm_sequence")
+            np.tanh(a[:, :, 3 * hidden :], out=a[:, :, 3 * hidden :])
+            np.multiply(a[:, :, hidden : 2 * hidden], c, out=tmp)
+            np.multiply(a[:, :, :hidden], a[:, :, 3 * hidden :], out=cell[s])
+            cell[s] += tmp
+            c = cell[s]
+            np.tanh(c, out=tanh_c[s])
+            np.multiply(a[:, :, 2 * hidden : 3 * hidden], tanh_c[s], out=h_all[s])
+            h = h_all[s]
+    out_value = np.empty((steps, batch_size, 2 * hidden))
+    out_value[:, :, :hidden] = h_all[:, 0]
+    out_value[:, :, hidden:] = h_all[::-1, 1]
+    out = Node(out_value.reshape(steps * batch_size, 2 * hidden), (pre, w_rec), "lstm_sequence")
 
-    def backward():
-        g_h = out.grad.reshape(num_steps, batch_size, hidden)
-        i_all = act[:, :, :hidden]
-        f_all = act[:, :, hidden : 2 * hidden]
-        o_all = act[:, :, 2 * hidden : 3 * hidden]
-        g_all = act[:, :, 3 * hidden :]
-        zeros = np.zeros((1, batch_size, hidden))
-        c_prev = np.concatenate([zeros, cell[:-1]], axis=0)
-        h_prev = np.concatenate([zeros, h_all[:-1]], axis=0)
-        # per-gate local derivative factors, vectorized over all steps
-        pre_i = g_all * (i_all - i_all * i_all)
-        pre_f = c_prev * (f_all - f_all * f_all)
-        pre_o = tanh_c * (o_all - o_all * o_all)
-        pre_g = i_all * (1.0 - g_all * g_all)
+    def backward(g):
+        g_out = g.reshape(steps, batch_size, 2 * hidden)
+        g_h = np.empty_like(h_all)
+        g_h[:, 0] = g_out[:, :, :hidden]
+        g_h[:, 1] = g_out[::-1, :, hidden:]
+        i_all = act[..., :hidden]
+        f_all = act[..., hidden : 2 * hidden]
+        o_all = act[..., 2 * hidden : 3 * hidden]
+        g_all = act[..., 3 * hidden :]
+        sig = act[..., : 3 * hidden]
+        d_sig = sig - sig * sig  # sigmoid derivatives of the i, f, o slab
+        # per-gate factors that scale dc, vectorized over all steps, in gate
+        # order; the output-gate slot stays zero here and is set in the loop
+        # (it scales dh), and the forget slot of step 0 stays zero (c_prev = 0)
+        local = np.zeros((steps, 2, batch_size, 4, hidden))
+        local[..., 0, :] = g_all * d_sig[..., :hidden]
+        local[1:, ..., 1, :] = cell[:-1] * d_sig[1:, ..., hidden : 2 * hidden]
+        local[..., 3, :] = i_all * (1.0 - g_all * g_all)
+        pre_o = tanh_c * d_sig[..., 2 * hidden :]
         d_tanh_c = o_all * (1.0 - tanh_c * tanh_c)
-        d_pre = np.empty((num_steps, batch_size, 4 * hidden))
-        d_u = np.zeros_like(u)
-        u_t = u.T.copy()
-        dh = np.empty((batch_size, hidden))
-        dc = np.empty((batch_size, hidden))
-        dh_next = np.zeros((batch_size, hidden))
-        dc_next = np.zeros((batch_size, hidden))
-        mm = np.empty_like(u)
-        for t in reversed(range(num_steps)):
-            np.add(g_h[t], dh_next, out=dh)
-            np.multiply(dh, d_tanh_c[t], out=dc)
+        d_act = np.empty((steps, 2, batch_size, 4, hidden))
+        u_t = u.transpose(0, 2, 1).copy()
+        dh = np.empty((2, batch_size, hidden))
+        dc = np.empty((2, batch_size, hidden))
+        dh_next = np.zeros((2, batch_size, hidden))
+        dc_next = np.zeros((2, batch_size, hidden))
+        for s in reversed(range(steps)):
+            np.add(g_h[s], dh_next, out=dh)
+            np.multiply(dh, d_tanh_c[s], out=dc)
             dc += dc_next
-            da = d_pre[t]
-            np.multiply(dc, pre_i[t], out=da[:, :hidden])
-            np.multiply(dc, pre_f[t], out=da[:, hidden : 2 * hidden])
-            np.multiply(dh, pre_o[t], out=da[:, 2 * hidden : 3 * hidden])
-            np.multiply(dc, pre_g[t], out=da[:, 3 * hidden :])
-            np.matmul(h_prev[t].T, da, out=mm)
-            d_u += mm
-            np.matmul(da, u_t, out=dh_next)
-            np.multiply(dc, f_all[t], out=dc_next)
+            da = d_act[s]
+            np.multiply(dc[:, :, None, :], local[s], out=da)
+            np.multiply(dh, pre_o[s], out=da[:, :, 2, :])
+            np.matmul(da.reshape(2, batch_size, h4), u_t, out=dh_next)
+            np.multiply(dc, f_all[s], out=dc_next)
+        d_act = d_act.reshape(steps, 2, batch_size, h4)
         if pre.needs_grad:
-            pre.accumulate_grad(d_pre.reshape(num_steps * batch_size, 4 * hidden), own=True)
+            d_pre = np.empty((steps, batch_size, 8 * hidden))
+            d_pre[:, :, :h4] = d_act[:, 0]
+            d_pre[:, :, h4:] = d_act[::-1, 1]
+            pre.accumulate_grad(d_pre.reshape(steps * batch_size, 8 * hidden), own=True)
         if w_rec.needs_grad:
-            w_rec.accumulate_grad(d_u, own=True)
+            # sum over steps s >= 1 of h_{s-1}^T @ da_s (h_{-1} = 0), one GEMM per direction
+            h_rows = h_all[:-1].transpose(1, 3, 0, 2).reshape(2, hidden, (steps - 1) * batch_size)
+            d_rows = d_act[1:].transpose(1, 0, 2, 3).reshape(2, (steps - 1) * batch_size, h4)
+            w_rec.accumulate_grad(np.matmul(h_rows, d_rows).reshape(2 * hidden, h4), own=True)
 
-    out._backward = backward
-    return out
+    return ad.set_backward(out, backward)
 
 
 class BiLstmLayer:
-    """Two LSTM passes over the frame sequence (zero initial state), outputs concatenated.
+    """Forward and backward LSTM over the frame sequence (zero initial state),
+    outputs concatenated [forward | backward].
 
-    Forget-gate bias columns start at 1.0; everything else follows the uniform
-    fan-in rule.
+    Parameters are kept per direction (fwd.w_in [in x 4H], fwd.w_rec [H x 4H],
+    fwd.b [4H], then the same for bwd; gate columns i, f, o, g), which is the
+    checkpoint layout. Each forward call stacks them into the fused layout of
+    lstm_sequence: w_in side by side, b end to end, w_rec forward rows over
+    backward rows. Forget-gate bias columns start at 1.0; everything else
+    follows the uniform fan-in rule.
     """
 
     DIRECTIONS = ("fwd", "bwd")
@@ -249,17 +270,10 @@ class BiLstmLayer:
         if x.value.shape[1] != self.input_size:
             raise ValueError(f"BiLstmLayer: input shape {x.value.shape} != (rows, {self.input_size})")
         num_steps = rows // batch_size
-        reverse = time_reversed_rows(num_steps, batch_size)
-        outputs = []
-        for direction in self.DIRECTIONS:
-            pre = ad.affine(x, self.w_in[direction], self.b[direction])
-            if direction == "bwd":
-                pre = ad.gather_rows(pre, reverse)
-            h = lstm_sequence(pre, self.w_rec[direction], num_steps, batch_size)
-            if direction == "bwd":
-                h = ad.gather_rows(h, reverse)
-            outputs.append(h)
-        return ad.concat(outputs, axis=1)
+        w_in = ad.concat([self.w_in[d] for d in self.DIRECTIONS], axis=1)
+        b = ad.concat([self.b[d] for d in self.DIRECTIONS], axis=0)
+        w_rec = ad.concat([self.w_rec[d] for d in self.DIRECTIONS], axis=0)
+        return lstm_sequence(ad.affine(x, w_in, b), w_rec, num_steps, batch_size)
 
 
 class DenseLayer:
@@ -293,21 +307,17 @@ def overlap_add_frames(frames: Node, hop: int, original_len: int) -> Node:
     padded = (num - 1) * hop + frame_len
     if not (1 <= original_len <= padded):
         raise ValueError(f"overlap_add_frames: original_len {original_len} outside (0, {padded}]")
-    count = np.zeros(padded)
-    for t in range(num):
-        count[t * hop : t * hop + frame_len] += 1.0
     out = Node(_overlap_add_padded(frames.value, hop)[:original_len], (frames,), "overlap_add_frames")
 
-    def backward():
+    def backward(g):
         if frames.needs_grad:
             g_padded = np.zeros(padded)
-            g_padded[:original_len] = out.grad
-            g_padded /= count
-            rows = (np.arange(num) * hop)[:, None] + np.arange(frame_len)[None, :]
-            frames.accumulate_grad(g_padded[rows], own=True)
+            g_padded[:original_len] = g
+            g_padded /= overlap_count(num, frame_len, hop)
+            windows = np.lib.stride_tricks.sliding_window_view(g_padded, frame_len)[::hop]
+            frames.accumulate_grad(windows.copy(), own=True)
 
-    out._backward = backward
-    return out
+    return ad.set_backward(out, backward)
 
 
 def _sdr_node(target: np.ndarray, output: Node, eps: float) -> Node:

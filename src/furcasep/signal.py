@@ -128,14 +128,20 @@ def write_wav(w: Waveform, path) -> int:
 
 def frame(w: Waveform, g: FrameGeometry) -> FrameMatrix:
     """Slice into rectangular frames, zero-padding the tail so every frame is full."""
-    x = w.samples
     n = len(w)
     num = g.num_frames(n)
-    padded = (num - 1) * g.hop + g.frame_len
-    buf = np.zeros(padded)
-    buf[:n] = x
-    frames = np.stack([buf[t * g.hop : t * g.hop + g.frame_len] for t in range(num)])
+    buf = np.zeros((num - 1) * g.hop + g.frame_len)
+    buf[:n] = w.samples
+    frames = np.lib.stride_tricks.sliding_window_view(buf, g.frame_len)[:: g.hop].copy()
     return FrameMatrix(frames, g, n, w.sample_rate_hz)
+
+
+def overlap_count(num_frames: int, frame_len: int, hop: int) -> np.ndarray:
+    """How many of num_frames frames, hop apart, cover each sample of the padded signal."""
+    pos = np.arange((num_frames - 1) * hop + frame_len)
+    first = np.maximum(pos - frame_len + hop, 0) // hop  # ceil((pos - frame_len + 1) / hop), clipped at 0
+    last = np.minimum(pos // hop, num_frames - 1)
+    return (last - first + 1).astype(np.float64)
 
 
 def _overlap_add_padded(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -144,19 +150,28 @@ def _overlap_add_padded(frames: np.ndarray, hop: int) -> np.ndarray:
     Averaging is anchored on the first covering frame: out = first + mean(others - first).
     When all covering values are identical (frames produced by frame()), the residual sum
     is exactly zero, so the analysis-synthesis identity holds bit-exactly.
+
+    Frames are cut into ceil(frame_len/hop) pieces of hop samples; piece j of frame t
+    lands on hop-block t+j of the output, so each pass over one piece index is a single
+    vectorised slab operation. A larger piece index means an earlier frame, so the
+    residual passes run from the last piece to the first: every sample adds its
+    residuals in increasing frame index, the same order as a per-frame loop.
     """
     num, frame_len = frames.shape
     padded = (num - 1) * hop + frame_len
-    first = np.zeros(padded)
-    for t in reversed(range(num)):
-        first[t * hop : t * hop + frame_len] = frames[t]
-    resid = np.zeros(padded)
-    count = np.zeros(padded)
-    for t in range(num):
-        sl = slice(t * hop, t * hop + frame_len)
-        resid[sl] += frames[t] - first[sl]
-        count[sl] += 1.0
-    return first + resid / count
+    pieces = -(-frame_len // hop)
+    width = [min(hop, frame_len - j * hop) for j in range(pieces)]
+    blocks = num - 1 + pieces  # hop-blocks of output; the last may run past padded
+    first = np.zeros((blocks, hop))
+    for j in range(pieces):  # later pieces come from earlier frames and overwrite
+        first[j : j + num, : width[j]] = frames[:, j * hop : j * hop + width[j]]
+    resid = np.zeros((blocks, hop))
+    for j in reversed(range(pieces)):
+        block = slice(j, j + num)
+        resid[block, : width[j]] += frames[:, j * hop : j * hop + width[j]] - first[block, : width[j]]
+    first = first.reshape(-1)[:padded]
+    resid = resid.reshape(-1)[:padded]
+    return first + resid / overlap_count(num, frame_len, hop)
 
 
 def overlap_add(f: FrameMatrix) -> Waveform:

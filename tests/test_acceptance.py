@@ -264,6 +264,7 @@ class TestCriterion7EndToEndTraining:
         assert improvement >= 20.0, f"overfit improved only {improvement:.2f} dB"
         ok("7a", f"single-example overfit improved train loss by {improvement:.1f} dB")
 
+    @pytest.mark.slow
     def test_held_out_sdri(self, trained):
         aggregate = trained["aggregate"]
         records = trained["records"]

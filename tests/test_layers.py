@@ -10,6 +10,34 @@ from furcasep.metrics import pit_assign
 from furcasep.signal import FrameGeometry, Waveform, frame, overlap_add
 
 
+def naive_lstm(pre, w_rec):
+    """Plain-numpy unidirectional LSTM over [T x B x 4H] pre-activations, gates
+    ordered input, forget, output, cell candidate; returns [T x B x H]."""
+    steps, batch, four_h = pre.shape
+    hidden = four_h // 4
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    out = np.empty((steps, batch, hidden))
+    for t in range(steps):
+        a = pre[t] + h @ w_rec
+        i, f, o = (1.0 / (1.0 + np.exp(-a[:, k * hidden : (k + 1) * hidden])) for k in range(3))
+        g = np.tanh(a[:, 3 * hidden :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out[t] = h
+    return out
+
+
+def naive_bilstm(pre, w_rec, steps, batch):
+    """Two independent unidirectional loops; the backward one runs on time
+    reversed by slicing. Returns the fused kernel's [T*B x 2H] layout."""
+    hidden = w_rec.shape[1] // 4
+    x = pre.reshape(steps, batch, 8 * hidden)
+    fwd = naive_lstm(x[:, :, : 4 * hidden], w_rec[:hidden])
+    bwd = naive_lstm(x[::-1, :, 4 * hidden :], w_rec[hidden:])[::-1]
+    return np.concatenate([fwd, bwd], axis=2).reshape(steps * batch, 2 * hidden)
+
+
 def naive_gconv(x, w, b, w_gate, b_gate, kernel_len, stride):
     """Loop-based reference for the gated convolution. x: [time x c_in],
     kernels: [kernel_len*c_in x c_out] with tap-major rows."""
@@ -183,10 +211,55 @@ class TestBiLstm:
             single = layer.forward(constant(s), batch_size=1).value
             assert np.allclose(batched[b::3], single, atol=1e-12)
 
+    def test_parameter_names_and_order(self):
+        params = ParamStore()
+        ly.BiLstmLayer(params, "l", 3, 4)
+        assert params.names() == ["l.fwd.w_in", "l.fwd.w_rec", "l.fwd.b", "l.bwd.w_in", "l.bwd.w_rec", "l.bwd.b"]
+        assert [params[n].value.shape for n in params.names()] == [(3, 16), (4, 16), (16,)] * 2
+
     def test_empty_sequence_rejected(self):
         params, layer = self.make()
         with pytest.raises(ValueError):
             layer.forward(constant(np.zeros((0, 3))))
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_matches_two_unidirectional_loops(self, steps, batch):
+        rng = np.random.default_rng(100 + 10 * steps + batch)
+        hidden = 4
+        pre = rng.normal(size=(steps * batch, 8 * hidden))
+        w_rec = rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden))
+        got = ly.lstm_sequence(constant(pre), constant(w_rec), steps, batch).value
+        assert got.shape == (steps * batch, 2 * hidden)
+        assert np.max(np.abs(got - naive_bilstm(pre, w_rec, steps, batch))) < 1e-12
+
+    def test_gradients(self):
+        rng = np.random.default_rng(101)
+        params = ParamStore()
+        params.add("pre", rng.normal(size=(4 * 2, 8 * 3)))
+        params.add("w_rec", rng.normal(scale=0.5, size=(2 * 3, 4 * 3)))
+        weights = constant(rng.normal(size=(4 * 2, 2 * 3)))
+
+        def f(p):
+            return ad.sum(ad.mul(ly.lstm_sequence(p["pre"], p["w_rec"], 4, 2), weights))
+
+        assert grad_check(f, params) < 1e-4
+
+    def test_wrong_pre_shape_rejected(self):
+        w_rec = constant(np.zeros((8, 16)))
+        with pytest.raises(ValueError, match="pre-activation shape"):
+            ly.lstm_sequence(constant(np.zeros((6, 16))), w_rec, 3, 2)  # one direction's columns only
+        with pytest.raises(ValueError, match="pre-activation shape"):
+            ly.lstm_sequence(constant(np.zeros((5, 32))), w_rec, 3, 2)
+
+    def test_wrong_w_rec_shape_rejected(self):
+        pre = constant(np.zeros((6, 32)))
+        with pytest.raises(ValueError, match="recurrent matrix shape"):
+            ly.lstm_sequence(pre, constant(np.zeros((4, 16))), 3, 2)  # one direction's rows only
+        with pytest.raises(ValueError, match="recurrent matrix shape"):
+            ly.lstm_sequence(pre, constant(np.zeros((8, 8))), 3, 2)
 
 
 class TestDense:
@@ -236,6 +309,13 @@ class TestOverlapAddFrames:
         params = ParamStore()
         params.add("frames", np.random.default_rng(25).normal(size=(4, 6)))
         err = grad_check(lambda p: ad.mean(ly.overlap_add_frames(p["frames"], 3, 14)), params)
+        assert err < 1e-4
+
+    def test_gradients_frame_len_not_multiple_of_hop(self):
+        params = ParamStore()
+        params.add("frames", np.random.default_rng(32).normal(size=(5, 7)))
+        weights = constant(np.random.default_rng(33).normal(size=17))
+        err = grad_check(lambda p: ad.dot(ly.overlap_add_frames(p["frames"], 3, 17), weights), params)
         assert err < 1e-4
 
     def test_gradient_of_truncated_region_is_zero(self):

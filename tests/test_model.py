@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -287,3 +289,26 @@ class TestCheckpoint:
         mixture = Waveform(np.random.default_rng(13).normal(size=96) * 0.3, 8000)
         for a, b in zip(model.separate(mixture), loaded.separate(mixture)):
             assert np.array_equal(a.samples, b.samples)
+
+
+class TestGraphLifetime:
+    def test_training_graph_freed_without_cyclic_gc(self):
+        model = build(TINY)
+        loss = model.loss_on_example(random_example(40))
+        ad.backward(loss)
+        refs, ops, stack, seen = [], set(), [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or not node.parents:
+                continue
+            seen.add(id(node))
+            refs.append(weakref.ref(node))
+            ops.add(node.op)
+            stack.extend(node.parents)
+        assert {"affine", "layer_norm_rows", "lstm_sequence", "overlap_add_frames", "log10"} <= ops
+        gc.disable()
+        try:
+            del loss, node
+            assert [r().op for r in refs if r() is not None] == []
+        finally:
+            gc.enable()

@@ -3,11 +3,12 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from furcasep.signal import (
     FrameGeometry,
+    _overlap_add_padded,
     WavFormatError,
     Waveform,
     frame,
@@ -93,6 +94,23 @@ class TestWavIO:
         assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32768
 
 
+def loop_overlap_add_padded(frames, hop):
+    """Per-frame loop reference: anchor each sample on its first covering
+    frame, then add the residuals frame by frame in increasing index."""
+    num, frame_len = frames.shape
+    padded = (num - 1) * hop + frame_len
+    first = np.zeros(padded)
+    for t in reversed(range(num)):
+        first[t * hop : t * hop + frame_len] = frames[t]
+    resid = np.zeros(padded)
+    count = np.zeros(padded)
+    for t in range(num):
+        sl = slice(t * hop, t * hop + frame_len)
+        resid[sl] += frames[t] - first[sl]
+        count[sl] += 1.0
+    return first + resid / count
+
+
 def brute_force_frame_count(n, frame_len, hop):
     # place frames at multiples of hop until one reaches the end of the signal
     count, start = 1, 0
@@ -156,6 +174,21 @@ class TestOverlapAdd:
         back = overlap_add(frame(w, FrameGeometry(frame_len, hop)))
         assert len(back) == n
         assert np.array_equal(back.samples, x)
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(6, 7, 3, 7)  # frame_len not a multiple of hop, three pieces per frame
+    @example(6, 7, 5, 7)  # a short second piece
+    @settings(max_examples=200, deadline=None)
+    def test_padded_matches_per_frame_loop(self, num, frame_len, hop, seed):
+        if hop > frame_len:
+            hop = frame_len
+        frames = np.random.default_rng(seed).normal(size=(num, frame_len))
+        assert np.array_equal(_overlap_add_padded(frames, hop), loop_overlap_add_padded(frames, hop))
 
     def test_single_frame(self):
         x = np.random.default_rng(2).normal(size=80)
