@@ -64,11 +64,9 @@ def evaluate_model(model, examples, with_irm_oracle: bool = False) -> tuple[list
     records = []
     for example in sorted(examples, key=lambda e: e.example_id):
         estimates = _separate_for_eval(model, example)
+        baseline = [sdr(src, example.mixture).sdr_db for src in example.sources]
         pit = pit_assign(example.sources, estimates)
-        sdri = [
-            pit.per_source_sdr_db[j] - sdr(example.sources[pit.permutation[j]], example.mixture).sdr_db
-            for j in range(len(estimates))
-        ]
+        sdri = [pit.per_source_sdr_db[j] - baseline[k] for j, k in enumerate(pit.permutation)]
         record = {
             "kind": "example",
             "example_id": example.example_id,
@@ -81,9 +79,7 @@ def evaluate_model(model, examples, with_irm_oracle: bool = False) -> tuple[list
             oracle = irm_separate(example.mixture, example.sources)
             oracle_pit = pit_assign(example.sources, oracle)
             oracle_sdri = [
-                oracle_pit.per_source_sdr_db[j]
-                - sdr(example.sources[oracle_pit.permutation[j]], example.mixture).sdr_db
-                for j in range(len(oracle))
+                oracle_pit.per_source_sdr_db[j] - baseline[k] for j, k in enumerate(oracle_pit.permutation)
             ]
             record["irm_sdri_db"] = float(np.mean(oracle_sdri))
         records.append(record)

@@ -31,7 +31,7 @@ DEFAULT_POOL_SIZE = 12
 
 
 class CorpusError(ValueError):
-    """Missing corpus files or integrity violations (broken additivity)."""
+    """Missing corpus files or integrity violations (wrong sample rate, broken additivity)."""
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def generate_corpus(
 
 
 def load_corpus(manifest_path) -> list[MixtureExample]:
-    """Reload examples from a manifest, re-verifying mixture additivity."""
+    """Reload examples from a manifest, re-verifying WAV sample rates and mixture additivity."""
     manifest = Manifest.load(manifest_path)
     examples = []
     for record in manifest.records:
@@ -322,6 +322,12 @@ def load_corpus(manifest_path) -> list[MixtureExample]:
             sources = [read_wav(manifest.root / p) for p in record.source_paths]
         except FileNotFoundError as exc:
             raise CorpusError(f"example {record.example_id}: missing file {exc.filename}") from exc
+        for rel, wav in zip((record.mixture_path, *record.source_paths), (mixture, *sources)):
+            if wav.sample_rate_hz != manifest.sample_rate_hz:
+                raise CorpusError(
+                    f"example {record.example_id}: {rel} is {wav.sample_rate_hz} Hz, "
+                    f"manifest says {manifest.sample_rate_hz} Hz"
+                )
         total = mix_sum(sources)
         worst = float(np.max(np.abs(total.samples - mixture.samples)))
         if worst > LOAD_ADDITIVITY_TOL + 1e-12:

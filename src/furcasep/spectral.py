@@ -1,4 +1,4 @@
-"""STFT analysis-synthesis on a radix-2 DFT, and the ideal-ratio-mask oracle separator.
+"""STFT analysis-synthesis on numpy's FFT, and the ideal-ratio-mask oracle separator.
 
 The oracle applies per-bin magnitude-ratio masks to the mixture spectrogram
 (mixture phase retained) and inverts; it is the upper bound that time-frequency
@@ -21,44 +21,28 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def _check_fft_length(x: np.ndarray) -> None:
+    n = x.shape[-1]
+    if not _is_power_of_two(n):
+        raise ValueError(f"FFT length must be a power of two, got {n}")
 
 
 def fft(x) -> np.ndarray:
-    """Forward DFT over the last axis via iterative radix-2 Cooley-Tukey.
+    """Forward DFT over the last axis (numpy FFT).
 
     Length must be a power of two. Unnormalized convention:
     X[k] = sum_n x[n] exp(-2j*pi*n*k/N).
     """
     x = np.asarray(x)
-    n = x.shape[-1]
-    if not _is_power_of_two(n):
-        raise ValueError(f"FFT length must be a power of two, got {n}")
-    shape = x.shape
-    out = x[..., _bit_reverse_indices(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(-1, n // size, size)
-        even = blocks[:, :, :half]
-        odd = blocks[:, :, half:] * twiddle
-        out = np.concatenate([even + odd, even - odd], axis=2).reshape(shape)
-        size *= 2
-    return out
+    _check_fft_length(x)
+    return np.fft.fft(x)
 
 
 def ifft(x) -> np.ndarray:
-    """Inverse of fft(), same power-of-two length rule."""
-    x = np.asarray(x, dtype=np.complex128)
-    return np.conj(fft(np.conj(x))) / x.shape[-1]
+    """Inverse of fft(), same power-of-two length rule, 1/N on the inverse."""
+    x = np.asarray(x)
+    _check_fft_length(x)
+    return np.fft.ifft(x)
 
 
 def sqrt_hann_window(n: int) -> np.ndarray:
@@ -114,26 +98,34 @@ def istft(s: Spectrogram) -> Waveform:
 
     Inverts stft() to within 1e-6 relative error on interior samples; the first
     and last fft_size samples see partial window overlap and are not covered by
-    that bound.
+    that bound. The imaginary parts of the DC and Nyquist bins are ignored, as
+    in the real part of a Hermitian-extended inverse DFT.
     """
     n = s.fft_size
-    num = s.num_frames
-    half = n // 2
-    full = np.empty((num, n), dtype=np.complex128)
-    full[:, : half + 1] = s.bins
-    full[:, half + 1 :] = np.conj(s.bins[:, 1:half])[:, ::-1]
     win = sqrt_hann_window(n)
-    frames = ifft(full).real * win
-    padded = (num - 1) * s.hop + n
-    acc = np.zeros(padded)
-    norm = np.zeros(padded)
-    win_sq = win * win
-    for t in range(num):
-        sl = slice(t * s.hop, t * s.hop + n)
-        acc[sl] += frames[t]
-        norm[sl] += win_sq
+    frames = np.fft.irfft(s.bins, n) * win
+    acc = _overlap_sum(frames, s.hop)
+    norm = _overlap_sum(np.broadcast_to(win * win, frames.shape), s.hop)
     out = acc / np.maximum(norm, 1e-12)
     return Waveform(out[: s.original_len], s.sample_rate_hz)
+
+
+def _overlap_sum(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frames placed hop samples apart over the full padded length.
+
+    Frames are cut into ceil(frame_len/hop) pieces of hop samples; piece j of frame t
+    lands on hop-block t+j, so each piece index is one slab addition. The passes run
+    from the last piece to the first, so every sample adds its frames in increasing
+    frame index, the same order as a per-frame loop.
+    """
+    num, frame_len = frames.shape
+    padded = (num - 1) * hop + frame_len
+    pieces = -(-frame_len // hop)
+    out = np.zeros((num - 1 + pieces, hop))
+    for j in reversed(range(pieces)):
+        width = min(hop, frame_len - j * hop)
+        out[j : j + num, :width] += frames[:, j * hop : j * hop + width]
+    return out.reshape(-1)[:padded]
 
 
 def irm_masks(sources: list[Waveform], fft_size: int = DEFAULT_FFT_SIZE, hop: int = DEFAULT_HOP) -> MaskSet:
@@ -161,6 +153,11 @@ def irm_separate(
     for src in sources:
         if len(src) != len(mixture):
             raise ValueError(f"irm_separate: source length {len(src)} != mixture length {len(mixture)}")
+        if src.sample_rate_hz != mixture.sample_rate_hz:
+            raise ValueError(
+                f"irm_separate: source sample rate {src.sample_rate_hz} Hz "
+                f"!= mixture sample rate {mixture.sample_rate_hz} Hz"
+            )
     mask_set = irm_masks(sources, fft_size, hop)
     mix_spec = stft(mixture, fft_size, hop)
     out = []

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from furcasep.cli import main, parse_config_file
-from furcasep.corpus import generate_corpus
+from furcasep.cli import evaluate_model, main, parse_config_file
+from furcasep.corpus import generate_corpus, load_corpus
+from furcasep.metrics import pit_assign, sdr
 from furcasep.model import ModelConfig, build, load_checkpoint, save_checkpoint
 from furcasep.signal import read_wav
+from furcasep.spectral import irm_separate
 from furcasep.training import TrainConfig
 
 TINY_CONFIG_TEXT = """
@@ -217,6 +219,22 @@ class TestEvaluateCommand:
         header = lines[0]
         assert header["kind"] == "eval_config"
         assert header["model_config"]["frame_len"] == 16
+
+    def test_sdri_subtracts_each_targets_mixture_sdr(self, corpus_dir, tiny_checkpoint):
+        model = load_checkpoint(tiny_checkpoint)
+        examples = load_corpus(corpus_dir / "dev" / "manifest.jsonl")
+        records, _ = evaluate_model(model, examples, with_irm_oracle=True)
+        for example, record in zip(sorted(examples, key=lambda e: e.example_id), records):
+            def sdri(pit):
+                return [
+                    pit.per_source_sdr_db[j] - sdr(example.sources[k], example.mixture).sdr_db
+                    for j, k in enumerate(pit.permutation)
+                ]
+
+            model_sdri = sdri(pit_assign(example.sources, model.separate(example.mixture)))
+            oracle_sdri = sdri(pit_assign(example.sources, irm_separate(example.mixture, example.sources)))
+            assert record["per_source_sdri_db"] == model_sdri
+            assert record["irm_sdri_db"] == float(np.mean(oracle_sdri))
 
     def test_reports_deterministic(self, corpus_dir, tiny_checkpoint, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -159,6 +159,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="sum to mixture"):
             load_corpus(manifest.path)
 
+    def test_wav_rate_must_match_manifest_header(self, tmp_path):
+        manifest = generate_corpus(2, 2, 0.5, 0.0, 5.0, seed=8, out_dir=tmp_path, sample_rate_hz=8000)
+        manifest.sample_rate_hz = 16000
+        manifest.save()
+        with pytest.raises(CorpusError, match="8000 Hz, manifest says 16000 Hz"):
+            load_corpus(manifest.path)
+
     def test_manifest_header_required(self, tmp_path):
         bad = tmp_path / "manifest.jsonl"
         bad.write_text('{"kind": "example"}\n')

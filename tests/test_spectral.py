@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from furcasep.metrics import sdr
 from furcasep.signal import Waveform
-from furcasep.spectral import fft, ifft, irm_masks, irm_separate, istft, sqrt_hann_window, stft
+from furcasep.spectral import (
+    Spectrogram,
+    fft,
+    ifft,
+    irm_masks,
+    irm_separate,
+    istft,
+    sqrt_hann_window,
+    stft,
+)
 
 
 def naive_dft(x):
@@ -39,6 +48,10 @@ class TestFft:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             fft(np.zeros(12))
+
+    def test_ifft_non_power_of_two_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            ifft(np.zeros(12))
 
     def test_ifft_inverts(self):
         x = np.random.default_rng(3).normal(size=128)
@@ -110,6 +123,59 @@ class TestIstft:
             assert len(istft(stft(w, 256, 128))) == n
 
 
+def overlap_loop(frames, hop, win):
+    """Reference per-frame synthesis loop; istft's slab passes must match it bit for bit."""
+    num, n = frames.shape
+    padded = (num - 1) * hop + n
+    acc = np.zeros(padded)
+    norm = np.zeros(padded)
+    win_sq = win * win
+    for t in range(num):
+        sl = slice(t * hop, t * hop + n)
+        acc[sl] += frames[t]
+        norm[sl] += win_sq
+    return acc / np.maximum(norm, 1e-12)
+
+
+def random_spectrogram(rng, fft_size, hop, num_frames):
+    shape = (num_frames, fft_size // 2 + 1)
+    bins = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    padded = (num_frames - 1) * hop + fft_size
+    return Spectrogram(bins, fft_size, hop, "sqrt_hann", padded, 8000)
+
+
+class TestIstftVectorised:
+    @given(
+        st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(64, 23 / 63, 9, 0)  # hop 24 does not divide 64
+    @example(32, 6 / 31, 9, 1)  # hop 7 is coprime with 32
+    def test_equals_per_frame_loop_bit_for_bit(self, fft_size, hop_fraction, num_frames, seed):
+        hop = 1 + round(hop_fraction * (fft_size - 1))
+        spec = random_spectrogram(np.random.default_rng(seed), fft_size, hop, num_frames)
+        win = sqrt_hann_window(fft_size)
+        want = overlap_loop(np.fft.irfft(spec.bins, fft_size) * win, hop, win)
+        got = istft(spec).samples
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fft_size, hop", [(256, 128), (64, 24), (8, 3)])
+    def test_matches_hermitian_ifft_path_with_complex_dc_and_nyquist(self, fft_size, hop):
+        spec = random_spectrogram(np.random.default_rng(fft_size), fft_size, hop, 11)
+        half = fft_size // 2
+        assert np.all(spec.bins[:, 0].imag != 0) and np.all(spec.bins[:, half].imag != 0)
+        full = np.empty((spec.num_frames, fft_size), dtype=np.complex128)
+        full[:, : half + 1] = spec.bins
+        full[:, half + 1 :] = np.conj(spec.bins[:, 1:half])[:, ::-1]
+        win = sqrt_hann_window(fft_size)
+        want = overlap_loop(ifft(full).real * win, hop, win)
+        assert np.max(np.abs(istft(spec).samples - want)) < 1e-12
+
+
 def two_tone_sources(n=8000, fs=8000):
     """Two multi-tone sources whose frequency support is disjoint."""
     t = np.arange(n) / fs
@@ -162,6 +228,16 @@ class TestIrm:
         recon = istft(stft(mixture, 256, 128))
         for e in est:
             assert np.allclose(e.samples, recon.samples / 2, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "reshape, match",
+        [(lambda w: wav_of(w.samples[:-1]), "length"), (lambda w: wav_of(w.samples, rate=16000), "sample rate")],
+    )
+    def test_mismatched_source_rejected(self, reshape, match):
+        s1, s2 = two_tone_sources()
+        mixture = wav_of(s1.samples + s2.samples)
+        with pytest.raises(ValueError, match=match):
+            irm_separate(mixture, [s1, reshape(s2)])
 
     def test_outputs_sum_to_mixture(self):
         s1, s2 = two_tone_sources()
