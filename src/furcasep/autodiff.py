@@ -1,14 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 numpy tensors.
 
 Eager forward, taped backward: every operation computes its value immediately
-and records a closure that routes the output gradient to its inputs. Scalars
-are 0-d arrays. There is no implicit broadcasting; shapes must match exactly
-except where an operation is explicitly defined otherwise (broadcast_add,
-scale, the *_scalar helpers).
+and records a closure that routes the output gradient to its inputs. Inside
+no_grad() nothing is recorded, so a forward-only pass frees each intermediate
+as soon as the next operation has used it. Scalars are 0-d arrays. There is
+no implicit broadcasting; shapes must match exactly except where an operation
+is explicitly defined otherwise (broadcast_add, scale, the *_scalar helpers).
 """
 
 from __future__ import annotations
 
+import contextlib
 import weakref
 
 import numpy as np
@@ -16,12 +18,35 @@ import numpy as np
 Tensor = np.ndarray  # always float64, row-major
 
 _check_finite = False
+_grad_enabled = True
 
 
 def set_check_finite(enabled: bool) -> None:
     """Toggle NaN/Inf detection on every op result (debug mode, default off)."""
     global _check_finite
     _check_finite = bool(enabled)
+
+
+def grad_enabled() -> bool:
+    """False inside no_grad(): new nodes record no parents and no gradient rule."""
+    return _grad_enabled
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op results are detached constants.
+
+    Values are the same as in grad mode, bit for bit. The previous state is
+    restored on exit, also when the block raises, so blocks nest. The switch
+    is process-wide, not per thread.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def as_tensor(x) -> Tensor:
@@ -43,7 +68,7 @@ class Node:
         if _check_finite and not np.all(np.isfinite(self.value)):
             raise FloatingPointError(f"non-finite values in '{op}' result")
         self.grad = None
-        self.parents = tuple(parents)
+        self.parents = tuple(parents) if _grad_enabled else ()
         self.op = op
         self.trainable = trainable
         self._backward = None
@@ -75,8 +100,11 @@ def set_backward(out: Node, backward) -> Node:
     backward(g) receives the output gradient and routes it to the op's
     inputs. The node reaches the rule through a weak reference to itself,
     so a graph holds no reference cycles: it is freed as soon as its last
-    outside reference goes, without waiting for the cyclic collector.
+    outside reference goes, without waiting for the cyclic collector. Under
+    no_grad() the rule is dropped, and with it every array it holds.
     """
+    if not _grad_enabled:
+        return out
     ref = weakref.ref(out)
     out._backward = lambda: backward(ref().grad)
     return out
@@ -389,12 +417,12 @@ def gather_rows(a: Node, indices) -> Node:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError(f"gather_rows: 1-D index array required, got shape {idx.shape}")
-    unique = len(np.unique(idx)) == idx.size
     out = Node(a.value[idx], (a,), "gather_rows")
 
     def backward(g):
         if not a.needs_grad:
             return
+        unique = len(np.unique(idx)) == idx.size
         if a.grad is None:
             if unique and idx.size == a.value.shape[0]:
                 # a permutation of all rows: scatter-assign, no zero fill needed
@@ -438,6 +466,8 @@ def backward(loss: Node) -> None:
     """
     if loss.value.shape not in ((), (1,)):
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+    if loss.op != "leaf" and not loss.parents:
+        raise ValueError(f"backward: '{loss.op}' result has no graph; it was built under no_grad()")
     order = _topo_order(loss)
     # set pre-existing gradients aside so this pass computes fresh adjoints,
     # then merge them back: every call adds exactly one full gradient pass

@@ -133,7 +133,9 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
     [2,B,H] @ [2,H,4H] products. The output is [T*B x 2H], forward hidden
     state then backward hidden state, both at the row's own time. Backward is
     hand-rolled BPTT over the cached per-step activations; the recurrent
-    weight gradient is one GEMM per direction after the loop.
+    weight gradient is one GEMM per direction after the loop. Under
+    ad.no_grad() the same loop overwrites one step's gates and cell state
+    instead of caching every step.
     """
     hidden = w_rec.value.shape[1] // 4
     if w_rec.value.shape != (2 * hidden, 4 * hidden) or hidden == 0:
@@ -147,17 +149,20 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
     x_fwd = x_pre[:, :, :h4]
     x_bwd = x_pre[::-1, :, h4:]  # step s of the backward direction reads time T-1-s
     u = w_rec.value.reshape(2, hidden, h4)
-    # per-step caches, step-major: [step, direction, batch, feature]
-    act = np.empty((steps, 2, batch_size, h4))  # post-activation gates
-    cell = np.empty((steps, 2, batch_size, hidden))
+    # per-step caches, step-major: [step, direction, batch, feature]; without
+    # gradients, act/cell/tanh_c hold the current step only (slot 0)
+    cached = steps if ad.grad_enabled() else 1
+    act = np.empty((cached, 2, batch_size, h4))  # post-activation gates
+    cell = np.empty((cached, 2, batch_size, hidden))
     tanh_c = np.empty_like(cell)
-    h_all = np.empty_like(cell)
+    h_all = np.empty((steps, 2, batch_size, hidden))
     tmp = np.empty((2, batch_size, hidden))
     h = np.zeros((2, batch_size, hidden))
     c = np.zeros((2, batch_size, hidden))
     with np.errstate(over="ignore"):  # exp overflow saturates the sigmoid to 0, which is exact
         for s in range(steps):
-            a = act[s]
+            k = s % cached
+            a = act[k]
             np.matmul(h, u, out=a)
             a[0] += x_fwd[s]
             a[1] += x_bwd[s]
@@ -167,12 +172,12 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
             sig += 1.0
             np.reciprocal(sig, out=sig)
             np.tanh(a[:, :, 3 * hidden :], out=a[:, :, 3 * hidden :])
-            np.multiply(a[:, :, hidden : 2 * hidden], c, out=tmp)
-            np.multiply(a[:, :, :hidden], a[:, :, 3 * hidden :], out=cell[s])
-            cell[s] += tmp
-            c = cell[s]
-            np.tanh(c, out=tanh_c[s])
-            np.multiply(a[:, :, 2 * hidden : 3 * hidden], tanh_c[s], out=h_all[s])
+            np.multiply(a[:, :, hidden : 2 * hidden], c, out=tmp)  # reads c before cell[k] is overwritten
+            np.multiply(a[:, :, :hidden], a[:, :, 3 * hidden :], out=cell[k])
+            cell[k] += tmp
+            c = cell[k]
+            np.tanh(c, out=tanh_c[k])
+            np.multiply(a[:, :, 2 * hidden : 3 * hidden], tanh_c[k], out=h_all[s])
             h = h_all[s]
     out_value = np.empty((steps, batch_size, 2 * hidden))
     out_value[:, :, :hidden] = h_all[:, 0]

@@ -10,8 +10,10 @@ count via symmetric zero padding).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -194,8 +196,9 @@ class FurcaNet:
         return self.forward_batch([mixture])[0]
 
     def separate(self, mixture: Waveform) -> list[Waveform]:
-        """Inference: forward values detached from the graph, returned as waveforms."""
-        outs = self.forward_utterance(mixture)
+        """Inference: a forward pass under no_grad, returned as waveforms."""
+        with ad.no_grad():
+            outs = self.forward_utterance(mixture)
         return [Waveform(o.value.copy(), mixture.sample_rate_hz) for o in outs]
 
     def loss_on_example(self, example) -> Node:
@@ -213,7 +216,12 @@ def build(config: ModelConfig) -> FurcaNet:
 
 def save_checkpoint(model: FurcaNet, path) -> None:
     """Versioned binary checkpoint: magic, version, config JSON, raw float64 LE
-    parameters in store order, CRC32 footer."""
+    parameters in store order, CRC32 footer.
+
+    The bytes go to a temporary file next to path, which then replaces path
+    in one os.replace: a failed write leaves any earlier checkpoint intact
+    and removes the temporary file.
+    """
     cfg_json = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
     values = model.params.flat_values()
     payload = (
@@ -225,8 +233,15 @@ def save_checkpoint(model: FurcaNet, path) -> None:
         + values.astype("<f8").tobytes()
     )
     payload += struct.pack("<I", zlib.crc32(payload))
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> FurcaNet:

@@ -89,7 +89,7 @@ _EVAL_CHUNK = 16  # forward_batch size during evaluation
 
 
 def mean_dev_sdr(model: FurcaNet, dev_set) -> float:
-    """Mean best-permutation SDR over a dev set (metrics path, no gradients).
+    """Mean best-permutation SDR over a dev set (metrics path, forward under no_grad).
 
     Summation order is fixed (dev-set order) for determinism.
     """
@@ -102,7 +102,8 @@ def mean_dev_sdr(model: FurcaNet, dev_set) -> float:
     for group in by_length.values():
         for start in range(0, len(group), _EVAL_CHUNK):
             chunk = group[start : start + _EVAL_CHUNK]
-            batched = model.forward_batch([e.mixture for _, e in chunk])
+            with ad.no_grad():
+                batched = model.forward_batch([e.mixture for _, e in chunk])
             for (pos, example), outs in zip(chunk, batched):
                 estimates = [o.value for o in outs]
                 scores[pos] = pit_assign(example.sources, estimates).mean_sdr_db

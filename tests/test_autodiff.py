@@ -178,6 +178,50 @@ class TestBackwardSemantics:
             ad.set_check_finite(False)
 
 
+class TestNoGrad:
+    def test_nodes_record_no_graph(self):
+        w = parameter(np.ones(3))
+        with ad.no_grad():
+            out = ad.sum(ad.mul(w, w))
+        assert out.parents == () and out._backward is None
+        assert not out.needs_grad
+        assert float(out.value) == 3.0
+
+    def test_state_restored_after_exception_and_nesting(self):
+        assert ad.grad_enabled()
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                assert not ad.grad_enabled()
+                raise RuntimeError("inside")
+        assert ad.grad_enabled()
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.grad_enabled()
+            assert not ad.grad_enabled()
+        assert ad.grad_enabled()
+
+    def test_backward_on_no_grad_loss_rejected(self):
+        w = parameter(np.ones(3))
+        with ad.no_grad():
+            loss = ad.sum(w)
+        with pytest.raises(ValueError, match="no_grad"):
+            backward(loss)
+        assert w.grad is None
+
+    def test_scalar_leaf_loss_still_accepted(self):
+        w = parameter(np.array(2.0))
+        backward(w)
+        assert float(w.grad) == 1.0
+
+    def test_no_grad_value_feeds_grad_mode_as_constant(self):
+        w = parameter(np.array([1.0, -2.0]))
+        with ad.no_grad():
+            frozen = ad.mul_scalar(w, 3.0)
+        backward(ad.dot(frozen, w))
+        assert np.array_equal(w.grad, frozen.value)
+        assert frozen.grad is None
+
+
 class TestParamStore:
     def test_creation_order_preserved(self):
         store = ParamStore()

@@ -235,6 +235,20 @@ class TestLstmSequence:
         assert got.shape == (steps * batch, 2 * hidden)
         assert np.max(np.abs(got - naive_bilstm(pre, w_rec, steps, batch))) < 1e-12
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_no_grad_bit_identical_and_detached(self, steps, batch):
+        rng = np.random.default_rng(200 + 10 * steps + batch)
+        hidden = 4
+        pre = ad.parameter(rng.normal(size=(steps * batch, 8 * hidden)))
+        w_rec = ad.parameter(rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden)))
+        want = ly.lstm_sequence(pre, w_rec, steps, batch)
+        with ad.no_grad():
+            got = ly.lstm_sequence(pre, w_rec, steps, batch)
+        assert np.array_equal(got.value, want.value)
+        assert got.parents == () and got._backward is None
+        assert want.parents == (pre, w_rec)
+
     def test_gradients(self):
         rng = np.random.default_rng(101)
         params = ParamStore()

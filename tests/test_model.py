@@ -1,11 +1,14 @@
 import dataclasses
 import gc
+import os
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from furcasep import autodiff as ad
+from furcasep import model as model_module
 from furcasep.corpus import MixtureExample
 from furcasep.metrics import pit_assign
 from furcasep.model import (
@@ -156,6 +159,45 @@ class TestForward:
         assert all(node.value.shape == (100,) for node in outs)
 
 
+class TestNoGradForward:
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_forward_batch_bit_identical_without_graph(self, batch):
+        model = build(TINY)
+        rng = np.random.default_rng(50 + batch)
+        mixtures = [Waveform(rng.normal(size=101) * 0.3, 8000) for _ in range(batch)]  # 101 % hop != 0
+        want = model.forward_batch(mixtures)
+        with ad.no_grad():
+            got = model.forward_batch(mixtures)
+        for outs_got, outs_want in zip(got, want):
+            for g, w in zip(outs_got, outs_want):
+                assert np.array_equal(g.value, w.value)
+                assert g.parents == () and w.parents != ()
+
+    def test_separate_equals_grad_mode_forward(self):
+        model = build(TINY)
+        mixture = Waveform(np.random.default_rng(52).normal(size=131) * 0.3, 8000)
+        want = model.forward_utterance(mixture)
+        for est, node in zip(model.separate(mixture), want):
+            assert np.array_equal(est.samples, node.value)
+
+    def test_separate_peak_memory_under_half_of_grad_mode(self):
+        cfg = dataclasses.replace(TINY, gconv_channels=8, bilstm_layers=2, bilstm_hidden=8, dnn_width=16)
+        model = build(cfg)
+        mixture = Waveform(np.random.default_rng(53).normal(size=4003) * 0.3, 8000)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grad_peak = peak(lambda: model.forward_utterance(mixture))
+        no_grad_peak = peak(lambda: model.separate(mixture))
+        assert no_grad_peak < 0.5 * grad_peak
+
+
 class TestSeparate:
     def test_deterministic(self):
         model = build(TINY)
@@ -289,6 +331,42 @@ class TestCheckpoint:
         mixture = Waveform(np.random.default_rng(13).normal(size=96) * 0.3, 8000)
         for a, b in zip(model.separate(mixture), loaded.separate(mixture)):
             assert np.array_equal(a.samples, b.samples)
+
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        old = build(dataclasses.replace(TINY, seed=41))
+        save_checkpoint(old, path)
+
+        class HalfWrite:
+            """A file whose write stores half of the bytes, then fails as a full disk does."""
+
+            def __init__(self, name, mode):
+                self._fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(model_module, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(build(dataclasses.replace(TINY, seed=42)), path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        assert np.array_equal(load_checkpoint(path).params.flat_values(), old.params.flat_values())
+
+    def test_overwrite_replaces_checkpoint(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(dataclasses.replace(TINY, seed=43)), path)
+        new = build(dataclasses.replace(TINY, seed=44))
+        save_checkpoint(new, path)
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        assert np.array_equal(load_checkpoint(path).params.flat_values(), new.params.flat_values())
 
 
 class TestGraphLifetime:

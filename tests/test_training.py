@@ -7,6 +7,7 @@ import pytest
 from furcasep import autodiff as ad
 from furcasep.autodiff import ParamStore, backward
 from furcasep.corpus import MixtureExample
+from furcasep.metrics import pit_assign
 from furcasep.model import ModelConfig, build, load_checkpoint
 from furcasep.signal import Waveform, mix_sum
 from furcasep.training import (
@@ -133,6 +134,21 @@ class TestDevCheck:
         sweep2 = initial_sdr_sweep(TINY, dev, seeds=range(5))
         assert sweep1 == sweep2
         assert len({r["mean_sdr_db"] for r in sweep1}) > 1  # seeds actually differ
+
+    def test_mean_dev_sdr_equals_grad_mode_scoring(self):
+        model = build(TINY)
+        short, long = toy_examples(3, 6, n=64), toy_examples(2, 7, n=96)
+        scores = []
+        for group in (short, long):  # mean_dev_sdr batches equal-length examples
+            batched = model.forward_batch([e.mixture for e in group])
+            for example, outs in zip(group, batched):
+                scores.append(pit_assign(example.sources, [o.value for o in outs]).mean_sdr_db)
+        dev = short + long
+        total = 0.0
+        for value in scores:
+            total += value
+        assert mean_dev_sdr(model, dev) == total / len(dev)
+        assert ad.grad_enabled()
 
     def test_empty_dev_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
