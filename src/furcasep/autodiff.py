@@ -5,7 +5,7 @@ and records a closure that routes the output gradient to its inputs. Inside
 no_grad() nothing is recorded, so a forward-only pass frees each intermediate
 as soon as the next operation has used it. Scalars are 0-d arrays. There is
 no implicit broadcasting; shapes must match exactly except where an operation
-is explicitly defined otherwise (broadcast_add, scale, the *_scalar helpers).
+is explicitly defined otherwise (affine's bias, scale, the *_scalar helpers).
 """
 
 from __future__ import annotations
@@ -162,22 +162,8 @@ def mul(a: Node, b: Node) -> Node:
     return set_backward(out, backward)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul: shape mismatch {a.value.shape} @ {b.value.shape}")
-    out = Node(a.value @ b.value, (a, b), "matmul")
-
-    def backward(g):
-        if a.needs_grad:
-            a.accumulate_grad(g @ b.value.T, own=True)
-        if b.needs_grad:
-            b.accumulate_grad(a.value.T @ g, own=True)
-
-    return set_backward(out, backward)
-
-
 def affine(x: Node, w: Node, b: Node) -> Node:
-    """x @ w + b with the bias broadcast over rows (fused matmul + broadcast_add)."""
+    """x @ w + b with the bias broadcast over rows."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
         raise ValueError(f"affine: shape mismatch {x.value.shape} @ {w.value.shape}")
     if b.value.shape != (w.value.shape[1],):
@@ -197,31 +183,6 @@ def affine(x: Node, w: Node, b: Node) -> Node:
     return set_backward(out, backward)
 
 
-def conv1d_valid(x: Node, k: Node, stride: int = 1) -> Node:
-    """Valid (no-padding) 1-D correlation; output length floor((n - m)/stride) + 1."""
-    if x.value.ndim != 1 or k.value.ndim != 1:
-        raise ValueError(f"conv1d_valid: 1-D inputs required, got {x.value.shape} and {k.value.shape}")
-    n, m = x.value.shape[0], k.value.shape[0]
-    if m > n:
-        raise ValueError(f"conv1d_valid: kernel shape {k.value.shape} longer than signal shape {x.value.shape}")
-    if stride < 1:
-        raise ValueError(f"conv1d_valid: stride must be positive, got {stride}")
-    out_len = (n - m) // stride + 1
-    rows = (np.arange(out_len) * stride)[:, None] + np.arange(m)[None, :]
-    windows = x.value[rows]
-    out = Node(windows @ k.value, (x, k), "conv1d_valid")
-
-    def backward(g):
-        if k.needs_grad:
-            k.accumulate_grad(windows.T @ g, own=True)
-        if x.needs_grad:
-            dx = np.zeros_like(x.value)
-            np.add.at(dx, rows, g[:, None] * k.value[None, :])
-            x.accumulate_grad(dx, own=True)
-
-    return set_backward(out, backward)
-
-
 def sigmoid(a: Node) -> Node:
     y = stable_sigmoid(a.value)
     out = Node(y, (a,), "sigmoid")
@@ -229,17 +190,6 @@ def sigmoid(a: Node) -> Node:
     def backward(g):
         if a.needs_grad:
             a.accumulate_grad(g * y * (1.0 - y), own=True)
-
-    return set_backward(out, backward)
-
-
-def tanh(a: Node) -> Node:
-    y = np.tanh(a.value)
-    out = Node(y, (a,), "tanh")
-
-    def backward(g):
-        if a.needs_grad:
-            a.accumulate_grad(g * (1.0 - y * y), own=True)
 
     return set_backward(out, backward)
 
@@ -263,16 +213,6 @@ def log10(a: Node) -> Node:
     def backward(g):
         if a.needs_grad:
             a.accumulate_grad(g / (a.value * np.log(10.0)), own=True)
-
-    return set_backward(out, backward)
-
-
-def sum(a: Node) -> Node:  # noqa: A001 - mirrors numpy naming
-    out = Node(np.sum(a.value), (a,), "sum")
-
-    def backward(g):
-        if a.needs_grad:
-            a.accumulate_grad(np.full_like(a.value, float(g)), own=True)
 
     return set_backward(out, backward)
 
@@ -338,33 +278,6 @@ def concat(nodes: list[Node], axis: int = 0) -> Node:
     return set_backward(out, backward)
 
 
-def transpose(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ValueError(f"transpose: 2-D input required, got shape {a.value.shape}")
-    out = Node(a.value.T.copy(), (a,), "transpose")
-
-    def backward(g):
-        if a.needs_grad:
-            a.accumulate_grad(g.T)
-
-    return set_backward(out, backward)
-
-
-def broadcast_add(a: Node, b: Node) -> Node:
-    """Add a length-F bias vector to every row of an [R x F] matrix."""
-    if a.value.ndim != 2 or b.value.ndim != 1 or a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"broadcast_add: shape mismatch {a.value.shape} + {b.value.shape}")
-    out = Node(a.value + b.value, (a, b), "broadcast_add")
-
-    def backward(g):
-        if a.needs_grad:
-            a.accumulate_grad(g)
-        if b.needs_grad:
-            b.accumulate_grad(g.sum(axis=0), own=True)
-
-    return set_backward(out, backward)
-
-
 def scale(a: Node, s: Node) -> Node:
     """Multiply a tensor by a scalar node."""
     if s.value.shape != ():
@@ -396,16 +309,6 @@ def mul_scalar(a: Node, c: float) -> Node:
     def backward(g):
         if a.needs_grad:
             a.accumulate_grad(g * c, own=True)
-
-    return set_backward(out, backward)
-
-
-def reshape(a: Node, shape: tuple[int, ...]) -> Node:
-    out = Node(a.value.reshape(shape), (a,), "reshape")
-
-    def backward(g):
-        if a.needs_grad:
-            a.accumulate_grad(g.reshape(a.value.shape))
 
     return set_backward(out, backward)
 

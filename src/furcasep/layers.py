@@ -36,20 +36,21 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 class GConvLayer:
     """Gated 1-D convolution: out = (x*W + b) (*) sigmoid(x*W_g + b_g).
 
-    Both paths are valid (no padding) convolutions with the same kernel shape
-    and stride; the gate path uses a sigmoid, nothing else. Kernels are stored
-    flattened as [kernel_len*in_channels x out_channels] with tap-major rows.
+    Both paths are valid (no padding) convolutions with the same kernel shape;
+    the gate path uses a sigmoid, nothing else. The caller cuts the input into
+    windows, one flattened [kernel_len x in_channels] window per row (tap-major),
+    so each path is one affine. Kernels are stored flattened as
+    [kernel_len*in_channels x out_channels] with tap-major rows.
     """
 
     def __init__(self, params: ParamStore, name: str, in_channels: int, out_channels: int,
-                 kernel_len: int, stride: int = 1, rng: np.random.Generator | None = None):
-        if min(in_channels, out_channels, kernel_len, stride) < 1:
+                 kernel_len: int, rng: np.random.Generator | None = None):
+        if min(in_channels, out_channels, kernel_len) < 1:
             raise ValueError("GConvLayer: all dimensions must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_len = kernel_len
-        self.stride = stride
         fan_in = in_channels * kernel_len
         self.w = params.add(f"{name}.w", uniform_init(rng, fan_in, (fan_in, out_channels)))
         self.b = params.add(f"{name}.b", np.zeros(out_channels))
@@ -66,18 +67,6 @@ class GConvLayer:
         linear = ad.affine(windows, self.w, self.b)
         gate = ad.affine(windows, self.w_gate, self.b_gate)
         return ad.mul(linear, ad.sigmoid(gate))
-
-    def forward(self, x: Node) -> Node:
-        """Convolve a [time x in_channels] input; output [out_time x out_channels]."""
-        if x.value.ndim != 2 or x.value.shape[1] != self.in_channels:
-            raise ValueError(f"GConvLayer: input shape {x.value.shape} != (time, {self.in_channels})")
-        steps = x.value.shape[0]
-        if steps < self.kernel_len:
-            raise ValueError(f"GConvLayer: input shape {x.value.shape} shorter than kernel {self.kernel_len}")
-        out_steps = (steps - self.kernel_len) // self.stride + 1
-        rows = (np.arange(out_steps) * self.stride)[:, None] + np.arange(self.kernel_len)[None, :]
-        windows = ad.reshape(ad.gather_rows(x, rows.reshape(-1)), (out_steps, self.kernel_len * self.in_channels))
-        return self.forward_windows(windows)
 
 
 def layer_norm_rows(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:

@@ -3,9 +3,7 @@ frame sequence, dense layers, and a linear head emitting one frame per source;
 overlap-add turns per-frame outputs back into full utterances.
 
 The first gated conv spans the whole frame, collapsing its time axis into a
-feature vector; later gated convs are pointwise over those features (an
-optional cross-frame kernel is available for exploration and keeps the frame
-count via symmetric zero padding).
+feature vector; later gated convs are pointwise over those features.
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ class ModelConfig:
     hop: int = 40
     gconv_layers: int = 5
     gconv_channels: int = 32
-    first_kernel_len: int = 80
-    gconv_cross_frame_len: int = 1  # kernel across frames in later gated convs
     bilstm_layers: int = 2
     bilstm_hidden: int = 64
     dnn_layers: int = 2
@@ -56,27 +52,39 @@ class ModelConfig:
     def validate(self) -> None:
         if self.num_sources < 2:
             raise ValueError(f"num_sources must be >= 2, got {self.num_sources}")
-        if self.first_kernel_len != self.frame_len:
-            raise ValueError(
-                f"first_kernel_len {self.first_kernel_len} must equal frame_len {self.frame_len}"
-            )
         if not (0 < self.hop <= self.frame_len):
             raise ValueError(f"need 0 < hop <= frame_len, got hop={self.hop}, frame_len={self.frame_len}")
-        for name in ("gconv_layers", "gconv_channels", "gconv_cross_frame_len",
-                     "bilstm_layers", "bilstm_hidden", "dnn_layers", "dnn_width"):
+        for name in ("gconv_layers", "gconv_channels", "bilstm_layers", "bilstm_hidden",
+                     "dnn_layers", "dnn_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """Config from a checkpoint's JSON block; every value must be a plain int.
+
+        Older checkpoints also carry first_kernel_len and gconv_cross_frame_len.
+        They are dropped when they hold the only value this network uses (the
+        frame length, and 1); any other value is rejected.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"ModelConfig block must be a JSON object, got {type(d).__name__}")
+        retired = {"first_kernel_len": d.get("frame_len", cls.frame_len), "gconv_cross_frame_len": 1}
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)} - set(retired)
         if unknown:
             raise ValueError(f"unknown ModelConfig fields: {sorted(unknown)}")
-        cfg = cls(**d)
+        for key, value in d.items():
+            if type(value) is not int:
+                raise ValueError(f"ModelConfig field {key!r} must be an int, got {value!r}")
+        for key, only in retired.items():
+            if d.get(key, only) != only:
+                raise ValueError(f"retired field {key!r} = {d[key]}, only {only} is supported")
+        cfg = cls(**{k: v for k, v in d.items() if k not in retired})
         cfg.validate()
         return cfg
 
@@ -97,14 +105,11 @@ class FurcaNet:
         self.gconvs = []
         self.norms = []
         for i in range(c.gconv_layers):
-            if i == 0:
-                layer = ly.GConvLayer(self.params, "gconv1", 1, c.gconv_channels, c.first_kernel_len, 1, rng)
-            else:
-                layer = ly.GConvLayer(
-                    self.params, f"gconv{i + 1}", c.gconv_channels, c.gconv_channels,
-                    c.gconv_cross_frame_len, 1, rng,
-                )
-            self.gconvs.append(layer)
+            # the first kernel spans the whole frame, later ones are pointwise
+            in_channels, kernel_len = (1, c.frame_len) if i == 0 else (c.gconv_channels, 1)
+            self.gconvs.append(
+                ly.GConvLayer(self.params, f"gconv{i + 1}", in_channels, c.gconv_channels, kernel_len, rng)
+            )
             self.norms.append(ly.LayerNorm(self.params, f"ln{i + 1}", c.gconv_channels))
         self.bilstms = []
         lstm_in = c.gconv_channels
@@ -128,28 +133,6 @@ class FurcaNet:
         self.params.load_flat_values(fresh.params.flat_values())
         self.config = fresh.config
 
-    def _gconv_over_frames(self, layer: ly.GConvLayer, h: Node, num_steps: int, batch_size: int) -> Node:
-        k = layer.kernel_len
-        if k == 1:
-            return layer.forward_windows(h)
-        # symmetric zero padding across frames keeps the frame count
-        channels = layer.in_channels
-        pad_left = (k - 1) // 2
-        pad_right = k // 2
-        pieces = []
-        if pad_left:
-            pieces.append(ad.constant(np.zeros((pad_left * batch_size, channels))))
-        pieces.append(h)
-        if pad_right:
-            pieces.append(ad.constant(np.zeros((pad_right * batch_size, channels))))
-        padded = ad.concat(pieces, axis=0) if len(pieces) > 1 else h
-        t_idx = np.arange(num_steps)[:, None, None]
-        b_idx = np.arange(batch_size)[None, :, None]
-        k_idx = np.arange(k)[None, None, :]
-        rows = ((t_idx + k_idx) * batch_size + b_idx).reshape(-1)
-        windows = ad.reshape(ad.gather_rows(padded, rows), (num_steps * batch_size, k * channels))
-        return layer.forward_windows(windows)
-
     def forward_batch(self, mixtures: list[Waveform]) -> list[list[Node]]:
         """Forward a batch of equal-length mixtures; returns per-utterance lists of S outputs."""
         if not mixtures:
@@ -170,13 +153,9 @@ class FurcaNet:
                 stacked = np.empty((frames.shape[0] * batch, c.frame_len))
             stacked[b::batch] = frames  # time-major rows
         num_steps = stacked.shape[0] // batch
-        h = ad.constant(stacked)
-        for i, (gconv, norm) in enumerate(zip(self.gconvs, self.norms)):
-            if i == 0:
-                h = gconv.forward_windows(h)  # each row is already one full-frame window
-            else:
-                h = self._gconv_over_frames(gconv, h, num_steps, batch)
-            h = norm.forward(h)
+        h = ad.constant(stacked)  # each row is one full-frame window of the first gconv
+        for gconv, norm in zip(self.gconvs, self.norms):
+            h = norm.forward(gconv.forward_windows(h))
         for lstm in self.bilstms:
             h = lstm.forward(h, batch_size=batch)
         for dense in self.dnn:
@@ -254,24 +233,27 @@ def load_checkpoint(path) -> FurcaNet:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+    body = data[:-4]
     offset = len(CHECKPOINT_MAGIC)
-    version, cfg_len = struct.unpack_from("<II", data, offset)
+    version, cfg_len = struct.unpack_from("<II", body, offset)  # within the length checked above
     offset += 8
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if len(body) - offset < cfg_len + 8:
+        raise CheckpointError(f"{path}: file ends inside the {cfg_len}-byte config block or the count after it")
     try:
-        cfg = ModelConfig.from_dict(json.loads(data[offset : offset + cfg_len].decode("utf-8")))
+        cfg = ModelConfig.from_dict(json.loads(body[offset : offset + cfg_len].decode("utf-8")))
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
     offset += cfg_len
-    (count,) = struct.unpack_from("<Q", data, offset)
+    (count,) = struct.unpack_from("<Q", body, offset)
     offset += 8
     model = FurcaNet(cfg)
     if count != model.params.total_size:
         raise CheckpointError(
             f"{path}: parameter count {count} does not match config ({model.params.total_size})"
         )
-    blob = data[offset:-4]
+    blob = body[offset:]
     if len(blob) != 8 * count:
         raise CheckpointError(f"{path}: parameter block has {len(blob)} bytes, expected {8 * count}")
     model.params.load_flat_values(np.frombuffer(blob, dtype="<f8").copy())

@@ -81,10 +81,6 @@ class FrameMatrix:
     def num_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def padded_len(self) -> int:
-        return (self.num_frames - 1) * self.geometry.hop + self.geometry.frame_len
-
 
 def read_wav(path) -> Waveform:
     """Read a mono PCM-16 little-endian WAV file, scaling samples by 1/32768."""

@@ -78,8 +78,7 @@ class TestCriterion1GradientIntegrity:
         worst = {}
 
         params = ad.ParamStore()
-        gconv = ly.GConvLayer(params, "g", 1, cfg.gconv_channels, cfg.first_kernel_len, 1,
-                              np.random.default_rng(1))
+        gconv = ly.GConvLayer(params, "g", 1, cfg.gconv_channels, cfg.frame_len, np.random.default_rng(1))
         frames = rng.normal(size=(12, cfg.frame_len))
         worst["gconv"] = ad.grad_check(
             lambda p: ad.mean(gconv.forward_windows(ad.constant(frames))),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from furcasep.metrics import pit_assign, sdr
 from furcasep.model import ModelConfig, build, load_checkpoint, save_checkpoint
 from furcasep.signal import read_wav
 from furcasep.spectral import irm_separate
-from furcasep.training import TrainConfig
+from furcasep.training import TrainConfig, desk_train_config
+
+DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
 TINY_CONFIG_TEXT = """
 # tiny model for fast tests
 frame_len = 16
 hop = 8
-first_kernel_len = 16
 gconv_layers = 2
 gconv_channels = 4
 bilstm_layers = 1
@@ -81,6 +83,15 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(path)
 
+    def test_retired_model_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("first_kernel_len = 80\n")
+        with pytest.raises(ValueError, match="unknown config key 'first_kernel_len'"):
+            parse_config_file(path)
+
+    def test_committed_desk_config_is_the_desk_setup(self):
+        assert parse_config_file(DESK_CFG) == (ModelConfig(), desk_train_config())
+
     def test_defaults_when_empty(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# nothing but comments\n")
@@ -136,7 +147,7 @@ class TestTrainCommand:
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory, corpus_dir):
     model = build(ModelConfig(
-        frame_len=16, hop=8, first_kernel_len=16, gconv_layers=2, gconv_channels=4,
+        frame_len=16, hop=8, gconv_layers=2, gconv_channels=4,
         bilstm_layers=1, bilstm_hidden=4, dnn_layers=1, dnn_width=8, seed=1,
     ))
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"

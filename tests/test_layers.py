@@ -38,15 +38,15 @@ def naive_bilstm(pre, w_rec, steps, batch):
     return np.concatenate([fwd, bwd], axis=2).reshape(steps * batch, 2 * hidden)
 
 
-def naive_gconv(x, w, b, w_gate, b_gate, kernel_len, stride):
-    """Loop-based reference for the gated convolution. x: [time x c_in],
-    kernels: [kernel_len*c_in x c_out] with tap-major rows."""
+def naive_gconv(x, w, b, w_gate, b_gate, kernel_len):
+    """Loop-based reference for the gated convolution: valid, stride 1.
+    x: [time x c_in], kernels: [kernel_len*c_in x c_out] with tap-major rows."""
     steps, c_in = x.shape
     c_out = w.shape[1]
-    out_steps = (steps - kernel_len) // stride + 1
+    out_steps = steps - kernel_len + 1
     out = np.zeros((out_steps, c_out))
     for t in range(out_steps):
-        window = x[t * stride : t * stride + kernel_len].reshape(-1)
+        window = x[t : t + kernel_len].reshape(-1)
         lin = np.zeros(c_out)
         gate = np.zeros(c_out)
         for o in range(c_out):
@@ -60,51 +60,65 @@ def naive_gconv(x, w, b, w_gate, b_gate, kernel_len, stride):
 
 
 class TestGConv:
-    def make(self, c_in=2, c_out=3, kernel=4, stride=1, seed=0):
+    """The model's two kernels: the first spans a whole frame of a mono signal
+    (in_channels=1), so each frame is one window; later ones are pointwise
+    (kernel_len=1), so each feature row is one window."""
+
+    def make(self, c_in=1, c_out=3, kernel=8, seed=0):
         params = ParamStore()
-        layer = ly.GConvLayer(params, "g", c_in, c_out, kernel, stride, np.random.default_rng(seed))
+        layer = ly.GConvLayer(params, "g", c_in, c_out, kernel, np.random.default_rng(seed))
         return params, layer
 
     def test_zero_gate_halves_linear_path(self):
         params, layer = self.make()
         layer.w_gate.value[...] = 0.0
         layer.b_gate.value[...] = 0.0
-        x = constant(np.random.default_rng(1).normal(size=(10, 2)))
-        out = layer.forward(x)
-        linear = x.value[np.arange(7)[:, None] + np.arange(4)[None, :]].reshape(7, 8) @ layer.w.value + layer.b.value
+        x = constant(np.random.default_rng(1).normal(size=(10, 8)))
+        out = layer.forward_windows(x)
+        linear = x.value @ layer.w.value + layer.b.value
         assert np.allclose(out.value, 0.5 * linear, atol=1e-12)
 
     def test_saturated_gate_passes_linear_path(self):
         params, layer = self.make()
         layer.w_gate.value[...] = 0.0
         layer.b_gate.value[...] = 20.0
-        x = constant(np.random.default_rng(2).normal(size=(10, 2)))
-        out = layer.forward(x)
-        windows = x.value[np.arange(7)[:, None] + np.arange(4)[None, :]].reshape(7, 8)
-        linear = windows @ layer.w.value + layer.b.value
+        x = constant(np.random.default_rng(2).normal(size=(10, 8)))
+        out = layer.forward_windows(x)
+        linear = x.value @ layer.w.value + layer.b.value
         assert np.max(np.abs(out.value - linear)) < 1e-8
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3]))
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_naive_convolution(self, seed, stride):
+    def test_matches_naive_convolution(self, seed):
         rng = np.random.default_rng(seed)
-        params = ParamStore()
-        layer = ly.GConvLayer(params, "g", 2, 3, 3, stride, rng)
-        x = rng.normal(size=(9, 2))
-        got = layer.forward(constant(x)).value
-        want = naive_gconv(x, layer.w.value, layer.b.value, layer.w_gate.value, layer.b_gate.value, 3, stride)
+        frames = rng.normal(size=(4, 9))  # 4 frames of 9 samples
+        params, layer = self.make(c_in=1, kernel=9, seed=seed)
+        got = layer.forward_windows(constant(frames)).value
+        for t, frame_samples in enumerate(frames):
+            want = naive_gconv(frame_samples[:, None], layer.w.value, layer.b.value,
+                               layer.w_gate.value, layer.b_gate.value, 9)
+            assert want.shape == (1, 3)
+            assert np.max(np.abs(got[t] - want[0])) < 1e-12
+        features = rng.normal(size=(6, 3))  # 6 steps of 3 channels
+        params, layer = self.make(c_in=3, c_out=3, kernel=1, seed=seed)
+        got = layer.forward_windows(constant(features)).value
+        want = naive_gconv(features, layer.w.value, layer.b.value, layer.w_gate.value, layer.b_gate.value, 1)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_gradients(self):
         params, layer = self.make(seed=5)
-        x = np.random.default_rng(6).normal(size=(8, 2))
-        err = grad_check(lambda p: ad.mean(layer.forward(constant(x))), params)
+        x = np.random.default_rng(6).normal(size=(5, 8))
+        err = grad_check(lambda p: ad.mean(layer.forward_windows(constant(x))), params)
+        assert err < 1e-4
+        params, layer = self.make(c_in=3, kernel=1, seed=7)
+        x = np.random.default_rng(8).normal(size=(5, 3))
+        err = grad_check(lambda p: ad.mean(layer.forward_windows(constant(x))), params)
         assert err < 1e-4
 
     def test_shape_mismatch(self):
         params, layer = self.make()
-        with pytest.raises(ValueError, match="shape"):
-            layer.forward(constant(np.zeros((10, 5))))
+        with pytest.raises(ValueError, match="window width 5"):
+            layer.forward_windows(constant(np.zeros((10, 5))))
 
 
 class TestLayerNorm:
@@ -257,7 +271,7 @@ class TestLstmSequence:
         weights = constant(rng.normal(size=(4 * 2, 2 * 3)))
 
         def f(p):
-            return ad.sum(ad.mul(ly.lstm_sequence(p["pre"], p["w_rec"], 4, 2), weights))
+            return ad.mean(ad.mul(ly.lstm_sequence(p["pre"], p["w_rec"], 4, 2), weights))
 
         assert grad_check(f, params) < 1e-4
 
@@ -336,7 +350,7 @@ class TestOverlapAddFrames:
         params = ParamStore()
         frames = params.add("frames", np.random.default_rng(26).normal(size=(2, 4)))
         out = ly.overlap_add_frames(frames, 2, 3)  # padded length 6, keep 3
-        backward(ad.sum(out))
+        backward(ad.mean(out))
         assert np.all(frames.grad[1, 2:] == 0)  # samples 4..5 are truncated
 
     def test_validation(self):

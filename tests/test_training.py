@@ -25,7 +25,6 @@ from furcasep.training import (
 TINY = ModelConfig(
     frame_len=16,
     hop=8,
-    first_kernel_len=16,
     gconv_layers=2,
     gconv_channels=4,
     bilstm_layers=1,
