@@ -12,7 +12,7 @@ from .corpus import (
     make_speaker_pool,
     synth_speaker,
 )
-from .metrics import PitResult, SdrResult, pit_assign, sdr, sdr_improvement
+from .metrics import PitResult, SdrResult, pit_assign, sdr
 from .model import FurcaNet, ModelConfig, build, load_checkpoint, save_checkpoint
 from .signal import (
     FrameGeometry,
@@ -26,7 +26,7 @@ from .signal import (
     write_wav,
 )
 from .spectral import irm_masks, irm_separate, istft, stft
-from .training import AdamState, TrainConfig, TrainReport, adam_step, initial_dev_check, train
+from .training import AdamState, TrainConfig, TrainReport, adam_step, train
 
 __all__ = [
     "AdamState",
@@ -51,7 +51,6 @@ __all__ = [
     "frame",
     "generate_corpus",
     "grad_check",
-    "initial_dev_check",
     "irm_masks",
     "irm_separate",
     "istft",
@@ -65,7 +64,6 @@ __all__ = [
     "read_wav",
     "save_checkpoint",
     "sdr",
-    "sdr_improvement",
     "stft",
     "synth_speaker",
     "train",

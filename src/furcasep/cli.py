@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import generate_corpus, load_corpus
-from .metrics import pit_assign, sdr
+from .metrics import PitResult, pit_assign, sdr
 from .model import FurcaNet, ModelConfig, build, load_checkpoint
 from .signal import Waveform, read_wav, write_wav
 from .spectral import irm_separate
@@ -41,11 +41,15 @@ def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key in model_types:
-                model_kwargs[key] = model_types[key](value)
+                kwargs, convert = model_kwargs, model_types[key]
             elif key in train_types:
-                train_kwargs[key] = train_types[key](value)
+                kwargs, convert = train_kwargs, train_types[key]
             else:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                kwargs[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not a valid {convert.__name__}") from None
     model_cfg = ModelConfig(**model_kwargs)
     model_cfg.validate()
     train_cfg = TrainConfig(**train_kwargs)
@@ -59,14 +63,19 @@ def _separate_for_eval(model, example) -> list[Waveform]:
     return model.separate(example.mixture)
 
 
+def _pit_sdri(sources, estimates, baseline: list[float]) -> tuple[PitResult, list[float]]:
+    """PIT assignment, and per output its SDR minus baseline[k], the mixture's SDR against its target k."""
+    pit = pit_assign(sources, estimates)
+    return pit, [pit.per_source_sdr_db[j] - baseline[k] for j, k in enumerate(pit.permutation)]
+
+
 def evaluate_model(model, examples, with_irm_oracle: bool = False) -> tuple[list[dict], dict]:
     """Per-example records (SDR, SDRi, permutation; optional IRM-oracle SDRi) plus aggregates."""
     records = []
     for example in sorted(examples, key=lambda e: e.example_id):
         estimates = _separate_for_eval(model, example)
         baseline = [sdr(src, example.mixture).sdr_db for src in example.sources]
-        pit = pit_assign(example.sources, estimates)
-        sdri = [pit.per_source_sdr_db[j] - baseline[k] for j, k in enumerate(pit.permutation)]
+        pit, sdri = _pit_sdri(example.sources, estimates, baseline)
         record = {
             "kind": "example",
             "example_id": example.example_id,
@@ -77,10 +86,7 @@ def evaluate_model(model, examples, with_irm_oracle: bool = False) -> tuple[list
         }
         if with_irm_oracle:
             oracle = irm_separate(example.mixture, example.sources)
-            oracle_pit = pit_assign(example.sources, oracle)
-            oracle_sdri = [
-                oracle_pit.per_source_sdr_db[j] - baseline[k] for j, k in enumerate(oracle_pit.permutation)
-            ]
+            _, oracle_sdri = _pit_sdri(example.sources, oracle, baseline)
             record["irm_sdri_db"] = float(np.mean(oracle_sdri))
         records.append(record)
     sdris = [r["sdri_db"] for r in records]

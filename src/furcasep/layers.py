@@ -16,16 +16,17 @@ output, cell candidate (i, f, o, g).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamStore
+from .metrics import best_permutation, check_source_count
 from .signal import _overlap_add_padded, overlap_count
 
 LOSS_ENERGY_EPS = 1e-8  # denominator guard inside the differentiable SDR
+LAYER_NORM_EPS = 1e-5  # variance guard of layer_norm_rows
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -44,10 +45,9 @@ class GConvLayer:
     """
 
     def __init__(self, params: ParamStore, name: str, in_channels: int, out_channels: int,
-                 kernel_len: int, rng: np.random.Generator | None = None):
+                 kernel_len: int, rng: np.random.Generator):
         if min(in_channels, out_channels, kernel_len) < 1:
             raise ValueError("GConvLayer: all dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_len = kernel_len
@@ -69,7 +69,7 @@ class GConvLayer:
         return ad.mul(linear, ad.sigmoid(gate))
 
 
-def layer_norm_rows(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+def layer_norm_rows(x: Node, gain: Node, bias: Node) -> Node:
     """Per-row standardization over features, then learned gain and bias (fused op)."""
     if x.value.ndim != 2 or gain.value.shape != (x.value.shape[1],) or bias.value.shape != gain.value.shape:
         raise ValueError(
@@ -79,7 +79,7 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     mu = xv.mean(axis=1, keepdims=True)
     centered = xv - mu
     var = np.mean(centered * centered, axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = Node(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm_rows")
 
@@ -98,14 +98,13 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
 
 
 class LayerNorm:
-    def __init__(self, params: ParamStore, name: str, dim: int, eps: float = 1e-5):
+    def __init__(self, params: ParamStore, name: str, dim: int):
         self.dim = dim
-        self.eps = eps
         self.gain = params.add(f"{name}.gain", np.ones(dim))
         self.bias = params.add(f"{name}.bias", np.zeros(dim))
 
     def forward(self, x: Node) -> Node:
-        return layer_norm_rows(x, self.gain, self.bias, self.eps)
+        return layer_norm_rows(x, self.gain, self.bias)
 
 
 def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> Node:
@@ -238,8 +237,7 @@ class BiLstmLayer:
     DIRECTIONS = ("fwd", "bwd")
 
     def __init__(self, params: ParamStore, name: str, input_size: int, hidden_size: int,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 rng: np.random.Generator):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.w_in = {}
@@ -276,10 +274,9 @@ class DenseLayer:
     ACTIVATIONS = ("relu", "linear")
 
     def __init__(self, params: ParamStore, name: str, in_size: int, out_size: int,
-                 activation: str = "relu", rng: np.random.Generator | None = None):
+                 activation: str, rng: np.random.Generator):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"DenseLayer: unknown activation '{activation}'")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_size = in_size
         self.out_size = out_size
         self.activation = activation
@@ -314,8 +311,8 @@ def overlap_add_frames(frames: Node, hop: int, original_len: int) -> Node:
     return ad.set_backward(out, backward)
 
 
-def _sdr_node(target: np.ndarray, output: Node, eps: float) -> Node:
-    """Differentiable projection SDR in dB, denominator guarded by eps."""
+def _sdr_node(target: np.ndarray, output: Node) -> Node:
+    """Differentiable projection SDR in dB, denominator guarded by LOSS_ENERGY_EPS."""
     xx = float(np.dot(target, target))
     if xx == 0.0:
         raise ValueError("usdr_loss: degenerate all-zero target")
@@ -323,40 +320,25 @@ def _sdr_node(target: np.ndarray, output: Node, eps: float) -> Node:
     coef = ad.mul_scalar(ad.dot(x, output), 1.0 / xx)
     error = ad.sub(ad.scale(x, coef), output)
     proj_energy = ad.mul_scalar(ad.mul(coef, coef), xx)
-    err_energy = ad.add_scalar(ad.dot(error, error), eps)
+    err_energy = ad.add_scalar(ad.dot(error, error), LOSS_ENERGY_EPS)
     return ad.mul_scalar(ad.sub(ad.log10(proj_energy), ad.log10(err_energy)), 10.0)
 
 
-def usdr_loss(targets: list[np.ndarray], outputs: list[Node], eps: float = LOSS_ENERGY_EPS,
-              return_permutation: bool = False):
+def usdr_loss(targets: list[np.ndarray], outputs: list[Node]) -> Node:
     """Negative mean utterance SDR under the best output-to-target permutation.
 
-    The permutation is chosen on forward values (ties to the lexicographically
-    smallest, matching metrics.pit_assign); gradients flow only through the
-    selected pairs. With return_permutation=True also returns the chosen
-    assignment (output j scored against target permutation[j]).
+    metrics.best_permutation picks the permutation on forward values, the same
+    search pit_assign runs; gradients flow only through the selected pairs.
     """
     n = len(targets)
-    if len(outputs) != n:
-        raise ValueError(f"usdr_loss: {n} targets vs {len(outputs)} outputs")
-    if n < 2:
-        raise ValueError(f"usdr_loss needs at least 2 sources, got {n}")
+    check_source_count("usdr_loss", n, len(outputs))
     targets = [ad.as_tensor(t) for t in targets]
     for t in targets:
         if t.shape != outputs[0].value.shape:
             raise ValueError(f"usdr_loss: target shape {t.shape} vs output shape {outputs[0].value.shape}")
-    sdr_nodes = [[_sdr_node(t, out, eps) for out in outputs] for t in targets]
-    best_perm = None
-    best_mean = -np.inf
-    for perm in itertools.permutations(range(n)):
-        mean = math.fsum(float(sdr_nodes[perm[j]][j].value) for j in range(n)) / n
-        if mean > best_mean:
-            best_mean = mean
-            best_perm = perm
-    total = sdr_nodes[best_perm[0]][0]
+    sdr_nodes = [[_sdr_node(t, out) for out in outputs] for t in targets]
+    perm, _ = best_permutation([[float(node.value) for node in row] for row in sdr_nodes])
+    total = sdr_nodes[perm[0]][0]
     for j in range(1, n):
-        total = ad.add(total, sdr_nodes[best_perm[j]][j])
-    loss = ad.mul_scalar(total, -1.0 / n)
-    if return_permutation:
-        return loss, best_perm
-    return loss
+        total = ad.add(total, sdr_nodes[perm[j]][j])
+    return ad.mul_scalar(total, -1.0 / n)

@@ -1,9 +1,10 @@
-"""Evaluation-side SDR, SDR improvement, and permutation-invariant assignment.
+"""Evaluation-side SDR and permutation-invariant assignment.
 
 SDR here is the projection form: the target is scaled to best explain the
 estimate, and the ratio of projected energy to residual energy is reported in
-dB. All functions are pure; the differentiable loss in layers.py must agree
-with this module away from its epsilon guard.
+dB. All functions are pure. The differentiable loss in layers.py picks its
+permutation with the same best_permutation, and agrees with sdr away from its
+epsilon guard.
 """
 
 from __future__ import annotations
@@ -78,26 +79,26 @@ def sdr(target, estimate) -> SdrResult:
     return SdrResult(sdr_db, projection_energy, error_energy, scale)
 
 
-def sdr_improvement(target, estimate, mixture) -> float:
-    """SDR of the estimate minus SDR of the unprocessed mixture, both against target."""
-    return sdr(target, estimate).sdr_db - sdr(target, mixture).sdr_db
+def check_source_count(caller: str, num_targets: int, num_estimates: int) -> None:
+    """The S-source rules shared by PIT scoring and the PIT loss: equal counts, 2 <= S <= MAX_PIT_SOURCES."""
+    if num_estimates != num_targets:
+        raise ValueError(f"{caller}: {num_targets} targets vs {num_estimates} estimates")
+    if num_targets < 2:
+        raise ValueError(f"{caller} needs at least 2 sources, got {num_targets}")
+    if num_targets > MAX_PIT_SOURCES:
+        raise ValueError(f"{caller} supports at most {MAX_PIT_SOURCES} sources, got {num_targets}")
 
 
-def pit_assign(targets: list, estimates: list) -> PitResult:
-    """Exhaustive best-permutation assignment over the pairwise SDR matrix.
+def best_permutation(matrix) -> tuple[tuple[int, ...], float]:
+    """Exhaustive PIT search over an S x S score matrix, matrix[target][output].
 
-    The S*S matrix is computed once; every permutation is scored from it and the
-    maximizer of the mean per-pair SDR wins. Ties go to the lexicographically
-    smallest permutation.
+    Returns the permutation (output j against target perm[j]) that maximizes the
+    mean score, and that mean. Each mean is a left-to-right sum over outputs
+    divided by S; a later permutation must beat the best so far strictly, so
+    ties go to the lexicographically smallest permutation.
     """
-    n = len(targets)
-    if len(estimates) != n:
-        raise ValueError(f"pit_assign: {n} targets vs {len(estimates)} estimates")
-    if n < 2:
-        raise ValueError(f"pit_assign needs at least 2 sources, got {n}")
-    if n > MAX_PIT_SOURCES:
-        raise ValueError(f"pit_assign supports at most {MAX_PIT_SOURCES} sources, got {n}")
-    matrix = [[sdr(t, e).sdr_db for e in estimates] for t in targets]
+    n = len(matrix)
+    check_source_count("best_permutation", n, n)
     best_perm = None
     best_mean = -np.inf
     for perm in itertools.permutations(range(n)):
@@ -105,5 +106,12 @@ def pit_assign(targets: list, estimates: list) -> PitResult:
         if mean > best_mean:
             best_mean = mean
             best_perm = perm
-    per_source = tuple(matrix[best_perm[j]][j] for j in range(n))
-    return PitResult(best_perm, per_source, best_mean, -best_mean)
+    return best_perm, best_mean
+
+
+def pit_assign(targets: list, estimates: list) -> PitResult:
+    """Best-permutation assignment over the pairwise SDR matrix, computed once."""
+    check_source_count("pit_assign", len(targets), len(estimates))
+    matrix = [[sdr(t, e).sdr_db for e in estimates] for t in targets]
+    perm, mean = best_permutation(matrix)
+    return PitResult(perm, tuple(matrix[k][j] for j, k in enumerate(perm)), mean, -mean)

@@ -89,10 +89,6 @@ class ModelConfig:
         return cfg
 
 
-# Full-size FurcaNet widths; far beyond desk scale, kept for reference runs.
-FULL_SCALE_CONFIG = ModelConfig(gconv_channels=1000, bilstm_hidden=1000, dnn_width=2000)
-
-
 class FurcaNet:
     """The separation network plus its frame-in / utterance-out pipeline."""
 
@@ -179,14 +175,6 @@ class FurcaNet:
         with ad.no_grad():
             outs = self.forward_utterance(mixture)
         return [Waveform(o.value.copy(), mixture.sample_rate_hz) for o in outs]
-
-    def loss_on_example(self, example) -> Node:
-        if len(example.sources) != self.config.num_sources:
-            raise ValueError(
-                f"example has {len(example.sources)} sources, model expects {self.config.num_sources}"
-            )
-        outputs = self.forward_utterance(example.mixture)
-        return ly.usdr_loss([s.samples for s in example.sources], outputs)
 
 
 def build(config: ModelConfig) -> FurcaNet:

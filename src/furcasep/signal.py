@@ -83,13 +83,13 @@ class FrameMatrix:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono PCM-16 little-endian WAV file, scaling samples by 1/32768."""
+    """Read a mono PCM-16 little-endian WAV file, scaling samples by 1/32768; else WavFormatError."""
     try:
         reader = wave.open(str(path), "rb")
     except FileNotFoundError:
         raise
-    except (wave.Error, EOFError) as exc:
-        raise WavFormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk overruns the RIFF chunk
+        raise WavFormatError(f"{path}: not a readable RIFF/WAVE file ({str(exc) or type(exc).__name__})") from exc
     with reader:
         if reader.getcomptype() != "NONE":
             raise WavFormatError(f"{path}: compressed WAV ({reader.getcomptype()}) not supported, PCM only")
@@ -100,6 +100,8 @@ def read_wav(path) -> Waveform:
         if width != 2:
             raise WavFormatError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
         rate = reader.getframerate()
+        if rate < 1:
+            raise WavFormatError(f"{path}: sample rate {rate} Hz is not positive")
         n = reader.getnframes()
         raw = reader.readframes(n)
     if len(raw) != 2 * n:

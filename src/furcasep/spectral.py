@@ -21,12 +21,6 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_fft_length(x: np.ndarray) -> None:
-    n = x.shape[-1]
-    if not _is_power_of_two(n):
-        raise ValueError(f"FFT length must be a power of two, got {n}")
-
-
 def fft(x) -> np.ndarray:
     """Forward DFT over the last axis (numpy FFT).
 
@@ -34,15 +28,9 @@ def fft(x) -> np.ndarray:
     X[k] = sum_n x[n] exp(-2j*pi*n*k/N).
     """
     x = np.asarray(x)
-    _check_fft_length(x)
+    if not _is_power_of_two(x.shape[-1]):
+        raise ValueError(f"FFT length must be a power of two, got {x.shape[-1]}")
     return np.fft.fft(x)
-
-
-def ifft(x) -> np.ndarray:
-    """Inverse of fft(), same power-of-two length rule, 1/N on the inverse."""
-    x = np.asarray(x)
-    _check_fft_length(x)
-    return np.fft.ifft(x)
 
 
 def sqrt_hann_window(n: int) -> np.ndarray:
@@ -64,17 +52,6 @@ class Spectrogram:
     @property
     def num_frames(self) -> int:
         return self.bins.shape[0]
-
-
-@dataclass(eq=False)
-class MaskSet:
-    """Per-source real masks in [0, 1] that sum to 1 over sources at every bin."""
-
-    masks: list[np.ndarray]
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.masks)
 
 
 def _validate_sizes(fft_size: int, hop: int) -> None:
@@ -128,10 +105,12 @@ def _overlap_sum(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(-1)[:padded]
 
 
-def irm_masks(sources: list[Waveform], fft_size: int = DEFAULT_FFT_SIZE, hop: int = DEFAULT_HOP) -> MaskSet:
-    """Ideal ratio masks: per-bin source magnitude over the total magnitude.
+def irm_masks(sources: list[Waveform], fft_size: int = DEFAULT_FFT_SIZE,
+              hop: int = DEFAULT_HOP) -> list[np.ndarray]:
+    """Ideal ratio masks, one per source: per-bin source magnitude over the total magnitude.
 
-    Bins where every source magnitude is zero get the uniform mask 1/S.
+    The masks lie in [0, 1] and sum to 1 over sources at every bin. Bins where
+    every source magnitude is zero get the uniform mask 1/S.
     """
     if len(sources) < 2:
         raise ValueError(f"irm_masks needs at least 2 sources, got {len(sources)}")
@@ -139,8 +118,7 @@ def irm_masks(sources: list[Waveform], fft_size: int = DEFAULT_FFT_SIZE, hop: in
     total = np.sum(mags, axis=0)
     uniform = 1.0 / len(sources)
     with np.errstate(invalid="ignore", divide="ignore"):
-        masks = [np.where(total > 0.0, m / total, uniform) for m in mags]
-    return MaskSet(masks)
+        return [np.where(total > 0.0, m / total, uniform) for m in mags]
 
 
 def irm_separate(
@@ -158,10 +136,9 @@ def irm_separate(
                 f"irm_separate: source sample rate {src.sample_rate_hz} Hz "
                 f"!= mixture sample rate {mixture.sample_rate_hz} Hz"
             )
-    mask_set = irm_masks(sources, fft_size, hop)
     mix_spec = stft(mixture, fft_size, hop)
     out = []
-    for mask in mask_set.masks:
+    for mask in irm_masks(sources, fft_size, hop):
         masked = Spectrogram(
             mix_spec.bins * mask,
             fft_size,

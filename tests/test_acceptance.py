@@ -29,6 +29,7 @@ from furcasep.signal import FrameGeometry, Waveform, frame, mix_sum, overlap_add
 from furcasep.spectral import fft, irm_separate, istft, stft
 from furcasep.training import (
     TrainConfig,
+    batch_loss,
     desk_train_config,
     initial_sdr_sweep,
     next_learning_rate,
@@ -114,8 +115,8 @@ class TestCriterion1GradientIntegrity:
         s1 = Waveform(0.4 * rng.normal(size=n), 8000)
         s2 = Waveform(0.4 * rng.normal(size=n), 8000)
         example = MixtureExample(mix_sum([s1, s2]), [s1, s2], 0.0, "gc", 0)
-        worst["loss_on_example"] = ad.grad_check(
-            lambda p: model.loss_on_example(example), model.params, coords_per_param=2,
+        worst["batch_loss"] = ad.grad_check(
+            lambda p: batch_loss(model, [example]), model.params, coords_per_param=2,
         )
 
         elapsed = time.perf_counter() - t0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from furcasep.cli import evaluate_model, main, parse_config_file
+from furcasep.cli import _pit_sdri, evaluate_model, main, parse_config_file
 from furcasep.corpus import generate_corpus, load_corpus
 from furcasep.metrics import pit_assign, sdr
 from furcasep.model import ModelConfig, build, load_checkpoint, save_checkpoint
@@ -89,6 +89,21 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key 'first_kernel_len'"):
             parse_config_file(path)
 
+    def test_bad_int_value_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("hop = 8\ndnn_width = 8.0\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt:2: dnn_width = '8\.0' is not a valid int"):
+            parse_config_file(path)
+
+    def test_bad_float_value_names_file_line_and_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text("# learning rate\ninitial_lr = fast\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt:2: initial_lr = 'fast' is not a valid float"):
+            parse_config_file(path)
+        rc = main(["train", "--data", "x", "--dev", "y", "--config", str(path), "--out", str(tmp_path)])
+        assert rc != 0
+        assert f"{path}:2: initial_lr" in capsys.readouterr().err
+
     def test_committed_desk_config_is_the_desk_setup(self):
         assert parse_config_file(DESK_CFG) == (ModelConfig(), desk_train_config())
 
@@ -98,6 +113,43 @@ class TestConfigFile:
         model_cfg, train_cfg = parse_config_file(path)
         assert model_cfg == ModelConfig()
         assert train_cfg == TrainConfig()
+
+
+class TestSdrImprovement:
+    """_pit_sdri: each output's SDR under PIT minus the mixture's SDR against its assigned target."""
+
+    @staticmethod
+    def baseline(sources, mixture):
+        return [sdr(s, mixture).sdr_db for s in sources]
+
+    def test_estimate_equals_mixture_is_zero(self):
+        rng = np.random.default_rng(2)
+        sources = [rng.normal(size=64) for _ in range(2)]
+        mixture = sources[0] + sources[1]
+        _, sdri = _pit_sdri(sources, [mixture, mixture], self.baseline(sources, mixture))
+        assert sdri == [0.0, 0.0]
+
+    def test_perfect_estimate(self):
+        rng = np.random.default_rng(4)
+        sources = [rng.normal(size=64) for _ in range(2)]
+        mixture = sources[0] + 0.5 * sources[1]
+        baseline = self.baseline(sources, mixture)
+        pit, sdri = _pit_sdri(sources, [sources[1], sources[0]], baseline)
+        assert pit.permutation == (1, 0)
+        assert sdri == [100.0 - baseline[1], 100.0 - baseline[0]]
+
+    def test_orthogonal_equal_power_mixture(self):
+        # orthogonal equal-power sources: the mixture scores ~0 dB against either one
+        n = 1024
+        t = np.arange(n)
+        s1 = np.sqrt(2.0) * np.sin(2 * np.pi * 8 * t / n)
+        s2 = np.sqrt(2.0) * np.sin(2 * np.pi * 32 * t / n)
+        mixture = s1 + s2
+        baseline = self.baseline([s1, s2], mixture)
+        assert baseline == pytest.approx([0.0, 0.0], abs=1e-9)
+        estimates = [s1 + 0.01 * s2, s2 + 0.01 * s1]
+        _, sdri = _pit_sdri([s1, s2], estimates, baseline)
+        assert sdri == pytest.approx([sdr(s1, estimates[0]).sdr_db, sdr(s2, estimates[1]).sdr_db], abs=1e-9)
 
 
 class TestTrainCommand:

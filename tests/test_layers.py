@@ -227,7 +227,7 @@ class TestBiLstm:
 
     def test_parameter_names_and_order(self):
         params = ParamStore()
-        ly.BiLstmLayer(params, "l", 3, 4)
+        ly.BiLstmLayer(params, "l", 3, 4, np.random.default_rng(0))
         assert params.names() == ["l.fwd.w_in", "l.fwd.w_rec", "l.fwd.b", "l.bwd.w_in", "l.bwd.w_rec", "l.bwd.b"]
         assert [params[n].value.shape for n in params.names()] == [(3, 16), (4, 16), (16,)] * 2
 
@@ -316,7 +316,7 @@ class TestDense:
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
-            ly.DenseLayer(ParamStore(), "d", 3, 3, "gelu")
+            ly.DenseLayer(ParamStore(), "d", 3, 3, "gelu", np.random.default_rng(0))
 
     def test_gradients(self):
         params = ParamStore()
@@ -380,15 +380,21 @@ class TestUsdrLoss:
         pit = pit_assign(targets, outputs)
         assert float(loss.value) == pytest.approx(pit.loss, abs=1e-9)
 
+    @staticmethod
+    def loss_under(targets, outputs, perm):
+        """The value usdr_loss reports when it picks perm (same pair nodes, same sums)."""
+        pairs = [float(ly._sdr_node(targets[perm[j]], constant(o)).value) for j, o in enumerate(outputs)]
+        return sum(pairs) * (-1.0 / len(pairs))
+
     def test_selected_permutation_matches_metrics(self):
         rng = np.random.default_rng(28)
         targets = [rng.normal(size=200) for _ in range(2)]
         near_swap = [targets[1] + 0.5 * rng.normal(size=200), targets[0] + 0.5 * rng.normal(size=200)]
-        outputs = [ad.parameter(o) for o in near_swap]
-        loss, perm = ly.usdr_loss(targets, outputs, return_permutation=True)
-        backward(loss)
+        loss = ly.usdr_loss(targets, [constant(o) for o in near_swap])
         pit = pit_assign(targets, near_swap)
-        assert pit.permutation == perm == (1, 0)
+        assert pit.permutation == (1, 0)
+        assert float(loss.value) == self.loss_under(targets, near_swap, (1, 0))
+        assert float(loss.value) != self.loss_under(targets, near_swap, (0, 1))
         assert float(loss.value) == pytest.approx(pit.loss, abs=1e-9)
 
     @given(st.floats(min_value=0.01, max_value=100.0))
@@ -397,9 +403,10 @@ class TestUsdrLoss:
         rng = np.random.default_rng(29)
         targets = [rng.normal(size=150) for _ in range(2)]
         outputs = [rng.normal(size=150) for _ in range(2)]
-        _, base_perm = ly.usdr_loss(targets, [constant(o) for o in outputs], return_permutation=True)
-        _, scaled_perm = ly.usdr_loss(targets, [constant(gain * o) for o in outputs], return_permutation=True)
-        assert scaled_perm == base_perm
+        perm = pit_assign(targets, outputs).permutation
+        for outs in (outputs, [gain * o for o in outputs]):
+            loss = ly.usdr_loss(targets, [constant(o) for o in outs])
+            assert float(loss.value) == self.loss_under(targets, outs, perm)
 
     def test_gradients_flow_only_through_selected_pairs(self):
         rng = np.random.default_rng(30)
@@ -426,3 +433,11 @@ class TestUsdrLoss:
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="targets vs"):
             ly.usdr_loss([np.ones(10)] * 3, [constant(np.ones(10))] * 2)
+
+    def test_too_many_sources_rejected_before_building_pairs(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("pair node built")
+
+        monkeypatch.setattr(ly, "_sdr_node", no_pairs)
+        with pytest.raises(ValueError, match="at most 8"):
+            ly.usdr_loss([np.ones(10)] * 9, [constant(np.ones(10))] * 9)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from furcasep.metrics import PitResult, pit_assign, sdr, sdr_improvement
+from furcasep.metrics import PitResult, best_permutation, pit_assign, sdr
 from furcasep.signal import Waveform
 
 
@@ -57,29 +57,6 @@ class TestSdr:
         base = sdr(x, s).sdr_db
         assert sdr(x, alpha * s).sdr_db == pytest.approx(base, abs=1e-9)
         assert sdr(beta * x, s).sdr_db == pytest.approx(base, abs=1e-9)
-
-
-class TestSdrImprovement:
-    def test_estimate_equals_mixture_is_zero(self):
-        target, mixture = rand_vec(2), rand_vec(3)
-        assert sdr_improvement(target, mixture, mixture) == 0.0
-
-    def test_perfect_estimate(self):
-        target, mixture = rand_vec(4), rand_vec(5)
-        want = 100.0 - sdr(target, mixture).sdr_db
-        assert sdr_improvement(target, target, mixture) == pytest.approx(want, abs=1e-12)
-
-    def test_orthogonal_equal_power_mixture(self):
-        # orthogonal equal-power sources: mixture scores ~0 dB against either one
-        n = 1024
-        t = np.arange(n)
-        s1 = np.sqrt(2.0) * np.sin(2 * np.pi * 8 * t / n)
-        s2 = np.sqrt(2.0) * np.sin(2 * np.pi * 32 * t / n)
-        mixture = s1 + s2
-        assert sdr(s1, mixture).sdr_db == pytest.approx(0.0, abs=1e-9)
-        estimate = s1 + 0.01 * s2
-        sdri = sdr_improvement(s1, estimate, mixture)
-        assert sdri == pytest.approx(sdr(s1, estimate).sdr_db, abs=1e-9)
 
 
 def brute_force_pit(targets, estimates):
@@ -173,3 +150,28 @@ class TestPitAssign:
         res: PitResult = pit_assign(targets, estimates)
         assert sorted(res.permutation) == [0, 1, 2, 3]
         assert res.mean_sdr_db == pytest.approx(float(np.mean(res.per_source_sdr_db)), abs=1e-12)
+
+
+class TestBestPermutation:
+    """The one PIT search, shared by pit_assign and layers.usdr_loss."""
+
+    def test_picks_the_best_mean(self):
+        matrix = [[1.0, 5.0, 0.0], [4.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        perm, mean = best_permutation(matrix)
+        assert perm == (1, 0, 2)  # output 0 -> target 1, output 1 -> target 0
+        assert mean == (4.0 + 5.0 + 2.0) / 3
+
+    def test_ties_go_to_the_lexicographically_smallest(self):
+        assert best_permutation([[1.0, 2.0], [2.0, 1.0]]) == ((1, 0), 2.0)
+        assert best_permutation([[3.0] * 3] * 3) == ((0, 1, 2), 3.0)
+
+    def test_mean_is_a_left_to_right_sum(self):
+        # 0.1 + 0.2 + 0.3 rounds differently from an exactly rounded fsum
+        matrix = [[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]]
+        assert best_permutation(matrix)[1] == (0.1 + 0.2 + 0.3) / 3
+
+    def test_source_count_guarded(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            best_permutation([[1.0]])
+        with pytest.raises(ValueError, match="at most 8"):
+            best_permutation([[0.0] * 9] * 9)

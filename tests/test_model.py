@@ -25,6 +25,7 @@ from furcasep.model import (
     save_checkpoint,
 )
 from furcasep.signal import Waveform, mix_sum
+from furcasep.training import batch_loss
 
 TINY = ModelConfig(
     frame_len=16,
@@ -214,7 +215,7 @@ class TestLoss:
     def test_loss_matches_metrics_oracle(self):
         model = build(TINY)
         example = random_example(7)
-        loss = model.loss_on_example(example)
+        loss = batch_loss(model, [example])
         estimates = model.separate(example.mixture)
         pit = pit_assign(example.sources, estimates)
         assert float(loss.value) == pytest.approx(pit.loss, abs=1e-6)
@@ -225,27 +226,27 @@ class TestLoss:
         swapped = MixtureExample(
             example.mixture, list(reversed(example.sources)), example.snr_db, "sw", example.seed
         )
-        assert float(model.loss_on_example(example).value) == float(model.loss_on_example(swapped).value)
+        assert float(batch_loss(model, [example]).value) == float(batch_loss(model, [swapped]).value)
 
     def test_gradient_check_tiny_model(self):
         model = build(TINY)
         example = random_example(9, n=48)
-        err = ad.grad_check(lambda p: model.loss_on_example(example), model.params)
+        err = ad.grad_check(lambda p: batch_loss(model, [example]), model.params)
         assert err < 1e-4
 
     def test_source_count_mismatch(self):
         model = build(TINY)
         ex = random_example(11)
         bad = MixtureExample(ex.mixture, ex.sources[:1] * 3, 0.0, "bad", 0)
-        with pytest.raises(ValueError, match="sources"):
-            model.loss_on_example(bad)
+        with pytest.raises(ValueError, match="3 targets vs 2 estimates"):
+            batch_loss(model, [bad])
 
     def test_determinism_of_loss_and_gradients(self):
         example = random_example(12)
 
         def run():
             model = build(TINY)
-            loss = model.loss_on_example(example)
+            loss = batch_loss(model, [example])
             ad.backward(loss)
             return float(loss.value), model.params.flat_values().copy(), _grads(model)
 
@@ -464,7 +465,7 @@ class TestCheckpointFuzz:
 class TestGraphLifetime:
     def test_training_graph_freed_without_cyclic_gc(self):
         model = build(TINY)
-        loss = model.loss_on_example(random_example(40))
+        loss = batch_loss(model, [random_example(40)])
         ad.backward(loss)
         refs, ops, stack, seen = [], set(), [loss], set()
         while stack:

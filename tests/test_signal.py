@@ -1,9 +1,10 @@
+import re
 import struct
 import wave
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from furcasep.signal import (
@@ -118,6 +119,81 @@ def brute_force_frame_count(n, frame_len, hop):
         start += hop
         count += 1
     return count
+
+
+def _fuzz_blob(path):
+    write_wav(wav_of(0.5 * np.sin(0.3 * np.arange(101))), path)
+    return path.read_bytes()
+
+
+WAV_HEADER_LEN = 44  # RIFF, fmt and data headers as write_wav lays them out
+# the u32 header fields, by offset: RIFF size, fmt size, sample rate, byte rate, data size
+WAV_U32_FIELDS = (4, 16, 24, 28, 40)
+WAV_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestWavFuzz:
+    """Damaged files raise WavFormatError or read as a valid waveform, never another error.
+
+    A damaged file can still be a valid one (a flipped data byte is a different
+    sample), so reading something other than the original is allowed.
+    """
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        return _fuzz_blob(tmp_path_factory.mktemp("wav") / "base.wav")
+
+    @staticmethod
+    def read_or_reject(path, data):
+        """The read waveform, or None when the reader rejects the file with WavFormatError."""
+        path.write_bytes(data)
+        try:
+            w = read_wav(path)
+        except WavFormatError:
+            return None
+        assert w.samples.ndim == 1 and w.samples.dtype == np.float64
+        assert w.sample_rate_hz > 0
+        return w
+
+    def test_blob_layout(self, blob, tmp_path):
+        assert len(blob) == WAV_HEADER_LEN + 2 * 101 == 246
+        assert struct.unpack_from("<I", blob, 40)[0] == 2 * 101
+        assert len(self.read_or_reject(tmp_path / "x.wav", blob)) == 101
+
+    @WAV_FUZZ
+    @given(cut=st.integers(min_value=0, max_value=245))
+    @example(cut=WAV_HEADER_LEN)
+    @example(cut=245)
+    def test_truncation_at_any_offset(self, blob, tmp_path, cut):
+        got = self.read_or_reject(tmp_path / "x.wav", blob[:cut])
+        if cut >= WAV_HEADER_LEN:  # inside the data chunk
+            assert got is None
+
+    @WAV_FUZZ
+    @given(bit=st.integers(min_value=0, max_value=8 * 246 - 1))
+    def test_single_bit_flip(self, blob, tmp_path, bit):
+        data = bytearray(blob)
+        data[bit // 8] ^= 1 << (bit % 8)
+        self.read_or_reject(tmp_path / "x.wav", bytes(data))
+
+    @WAV_FUZZ
+    @given(offset=st.sampled_from(WAV_U32_FIELDS),
+           value=st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1]) | st.integers(min_value=0, max_value=2**32 - 1))
+    @example(offset=16, value=65552)  # a fmt chunk that overruns the RIFF chunk
+    @example(offset=24, value=0)  # a zero sample rate
+    def test_lying_header_field(self, blob, tmp_path, offset, value):
+        data = bytearray(blob)
+        struct.pack_into("<I", data, offset, value)
+        self.read_or_reject(tmp_path / "x.wav", bytes(data))
+
+    def test_overrunning_chunk_and_zero_rate_name_the_file(self, blob, tmp_path):
+        for offset, value, reason in ((16, 65552, "RuntimeError"), (24, 0, "sample rate 0")):
+            data = bytearray(blob)
+            struct.pack_into("<I", data, offset, value)
+            path = tmp_path / f"bad{offset}.wav"
+            path.write_bytes(bytes(data))
+            with pytest.raises(WavFormatError, match=f"{re.escape(str(path))}: .*{reason}"):
+                read_wav(path)
 
 
 class TestFraming:

@@ -8,7 +8,6 @@ from furcasep.signal import Waveform
 from furcasep.spectral import (
     Spectrogram,
     fft,
-    ifft,
     irm_masks,
     irm_separate,
     istft,
@@ -48,14 +47,6 @@ class TestFft:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             fft(np.zeros(12))
-
-    def test_ifft_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            ifft(np.zeros(12))
-
-    def test_ifft_inverts(self):
-        x = np.random.default_rng(3).normal(size=128)
-        assert np.max(np.abs(ifft(fft(x)) - x)) < 1e-12
 
     def test_batched_rows(self):
         x = np.random.default_rng(4).normal(size=(5, 32))
@@ -172,7 +163,7 @@ class TestIstftVectorised:
         full[:, : half + 1] = spec.bins
         full[:, half + 1 :] = np.conj(spec.bins[:, 1:half])[:, ::-1]
         win = sqrt_hann_window(fft_size)
-        want = overlap_loop(ifft(full).real * win, hop, win)
+        want = overlap_loop(np.fft.ifft(full).real * win, hop, win)
         assert np.max(np.abs(istft(spec).samples - want)) < 1e-12
 
 
@@ -188,7 +179,7 @@ class TestIrm:
     def test_identical_sources_half_masks(self):
         x = wav_of(np.random.default_rng(7).normal(size=3000))
         masks = irm_masks([x, x], 256, 128)
-        for m in masks.masks:
+        for m in masks:
             assert np.allclose(m, 0.5)
 
     def test_disjoint_bins_masks_saturate(self):
@@ -198,20 +189,20 @@ class TestIrm:
         frame = 10
         own_bin = int(np.argmax(spec1[frame]))
         other = int(np.argmax(np.abs(stft(s2, 256, 128).bins)[frame]))
-        assert masks.masks[0][frame, own_bin] > 0.95
-        assert masks.masks[0][frame, other] < 0.05
+        assert masks[0][frame, own_bin] > 0.95
+        assert masks[0][frame, other] < 0.05
 
     def test_masks_sum_to_one(self):
         rng = np.random.default_rng(8)
         sources = [wav_of(rng.normal(size=2000)) for _ in range(3)]
         masks = irm_masks(sources, 128, 64)
-        total = np.sum(masks.masks, axis=0)
+        total = np.sum(masks, axis=0)
         assert np.max(np.abs(total - 1.0)) < 1e-9
 
     def test_zero_bins_get_uniform_masks(self):
         silent = wav_of(np.zeros(1000))
         masks = irm_masks([silent, silent], 128, 64)
-        for m in masks.masks:
+        for m in masks:
             assert np.allclose(m, 0.5)
 
     def test_disjoint_band_separation_above_20db(self):

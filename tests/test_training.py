@@ -15,7 +15,6 @@ from furcasep.training import (
     TrainConfig,
     adam_step,
     batch_loss,
-    initial_dev_check,
     initial_sdr_sweep,
     mean_dev_sdr,
     next_learning_rate,
@@ -115,17 +114,26 @@ class TestSchedule:
 
 
 class TestDevCheck:
+    # train()'s restart gate: an initial dev SDR at or above restart_threshold_db passes
+
     def test_zero_output_model_fails_threshold(self):
+        dev = toy_examples(3, 0)
         model = build(TINY)
         model.params.load_flat_values(np.zeros(model.param_count))
-        ok, mean_sdr = initial_dev_check(model, toy_examples(3, 0), threshold_db=-30.0)
-        assert not ok
-        assert mean_sdr == -100.0
+        assert mean_dev_sdr(model, dev) == -100.0
+        cfg = TrainConfig(max_epochs=1, batch_size=3, restart_threshold_db=-30.0, restart_max_attempts=1)
+        report = train(model, dev, dev, cfg)
+        assert not report.restart_passed
+        assert report.init_dev_sdr_db == -100.0
 
     def test_vacuous_threshold_always_passes(self):
-        model = build(TINY)
-        ok, _ = initial_dev_check(model, toy_examples(3, 1), threshold_db=-1000.0)
-        assert ok
+        dev = toy_examples(3, 1)
+        initial = mean_dev_sdr(build(TINY), dev)
+        for threshold in (-1000.0, initial):  # the gate is >=, so its own score passes too
+            cfg = TrainConfig(max_epochs=1, batch_size=3, restart_threshold_db=threshold)
+            report = train(build(TINY), dev, dev, cfg)
+            assert report.restart_passed and report.restart_attempts == 1
+            assert report.init_dev_sdr_db == initial
 
     def test_deterministic_per_seed(self):
         dev = toy_examples(4, 2)
@@ -162,7 +170,7 @@ class TestBatchLoss:
         per_example = []
         for ex in examples:
             model.params.zero_grad()
-            backward(model.loss_on_example(ex))
+            backward(batch_loss(model, [ex]))
             per_example.append(
                 np.concatenate([n.grad.reshape(-1) for n in model.params.nodes()])
             )
