@@ -121,11 +121,6 @@ def brute_force_frame_count(n, frame_len, hop):
     return count
 
 
-def _fuzz_blob(path):
-    write_wav(wav_of(0.5 * np.sin(0.3 * np.arange(101))), path)
-    return path.read_bytes()
-
-
 WAV_HEADER_LEN = 44  # RIFF, fmt and data headers as write_wav lays them out
 # the u32 header fields, by offset: RIFF size, fmt size, sample rate, byte rate, data size
 WAV_U32_FIELDS = (4, 16, 24, 28, 40)
@@ -141,7 +136,9 @@ class TestWavFuzz:
 
     @pytest.fixture(scope="class")
     def blob(self, tmp_path_factory):
-        return _fuzz_blob(tmp_path_factory.mktemp("wav") / "base.wav")
+        path = tmp_path_factory.mktemp("wav") / "base.wav"
+        write_wav(wav_of(0.5 * np.sin(0.3 * np.arange(101))), path)
+        return path.read_bytes()
 
     @staticmethod
     def read_or_reject(path, data):
