@@ -53,9 +53,16 @@ def as_tensor(x) -> Tensor:
     return np.asarray(x, dtype=np.float64)
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # clipping keeps exp() in range; sigmoid saturates far before +-500 anyway
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+def sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
+    """Overwrite z = -x with sigmoid(x) = 1 / (1 + exp(-x)) and return it.
+
+    This is the one sigmoid: the sigmoid op and lstm_sequence's gates use it.
+    For x below about -709 exp overflows to inf and the result is 1/inf = 0,
+    the exact limit, so callers run it under np.errstate(over="ignore").
+    """
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 class Node:
@@ -184,7 +191,8 @@ def affine(x: Node, w: Node, b: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    y = stable_sigmoid(a.value)
+    with np.errstate(over="ignore"):
+        y = sigmoid_of_negated(np.negative(a.value, out=np.empty_like(a.value)))  # out= keeps 0-d an array
     out = Node(y, (a,), "sigmoid")
 
     def backward(g):

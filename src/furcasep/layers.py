@@ -11,7 +11,12 @@ stack the two directions side by side: the pre-activation is [T*B x 8H] with
 the forward direction's gate columns first, the recurrent matrix is [2H x 4H]
 with the forward rows on top, and the output is [T*B x 2H], forward hidden
 state first. Within a direction the gate columns are ordered input, forget,
-output, cell candidate (i, f, o, g).
+output, cell candidate (i, f, o, g). Inside the time loop the gates are laid
+out gate-major, [gate, direction, batch, H], so every elementwise op works on
+a contiguous block. The i/f/o weights and inputs are negated once per call,
+which is exact, so the sigmoid is exp, +1 and reciprocal with no per-step
+negation. Forward-only passes (ad.no_grad()) keep LSTM_BLOCK_STEPS steps of
+gate, cell and hidden state rather than every step.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .signal import _overlap_add_padded, overlap_count
 
 LOSS_ENERGY_EPS = 1e-8  # denominator guard inside the differentiable SDR
 LAYER_NORM_EPS = 1e-5  # variance guard of layer_norm_rows
+LSTM_BLOCK_STEPS = 64  # steps of lstm_sequence state kept under no_grad
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -49,7 +55,6 @@ class GConvLayer:
         if min(in_channels, out_channels, kernel_len) < 1:
             raise ValueError("GConvLayer: all dimensions must be positive")
         self.in_channels = in_channels
-        self.out_channels = out_channels
         self.kernel_len = kernel_len
         fan_in = in_channels * kernel_len
         self.w = params.add(f"{name}.w", uniform_init(rng, fan_in, (fan_in, out_channels)))
@@ -99,7 +104,6 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node) -> Node:
 
 class LayerNorm:
     def __init__(self, params: ParamStore, name: str, dim: int):
-        self.dim = dim
         self.gain = params.add(f"{name}.gain", np.ones(dim))
         self.bias = params.add(f"{name}.bias", np.zeros(dim))
 
@@ -113,18 +117,32 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
     pre already holds x_t @ W_in + b for both directions: columns [0, 4H) feed
     the forward direction, [4H, 8H) the backward one. w_rec stacks the two
     [H x 4H] recurrent matrices, forward rows over backward rows. Within each
-    direction the gate columns are input, forget, output, cell candidate (the
-    three sigmoids form one contiguous slab). Initial states are zero.
+    direction the gate columns are input, forget, output, cell candidate.
+    Initial states are zero. The output is [T*B x 2H], forward hidden state
+    then backward hidden state, both at the row's own time.
 
     Both directions advance in one loop over steps s: the forward direction
-    reads time s, the backward direction time T-1-s, through stacked
-    [2,B,H] @ [2,H,4H] products. The output is [T*B x 2H], forward hidden
-    state then backward hidden state, both at the row's own time. Backward is
-    hand-rolled BPTT over the cached per-step activations; the recurrent
-    weight gradient is one GEMM per direction after the loop. Under
-    ad.no_grad() the same loop overwrites one step's gates and cell state
-    instead of caching every step.
+    reads time s, the backward direction time T-1-s. The step works in a
+    gate-major buffer [gate, direction, batch, H], so the i/f/o slab and each
+    gate are contiguous blocks. The recurrent product writes into that layout
+    as one [2,B,H] @ [4,2,H,H] matmul, with the weights laid out once per call.
+    The i/f/o columns of the weights and of the time-aligned input are negated
+    up front, which is exact, so the sigmoid needs no per-step negation. The
+    time-aligned input is built LSTM_BLOCK_STEPS steps at a time under
+    ad.no_grad(), and the step state (gates, cell, hidden) is kept for one
+    block only; in grad mode it is built once into the full per-step cache
+    that backpropagation through time reads. No full-size copy of pre is made.
+
+    Backward is hand-rolled BPTT over those caches. The dh recurrence and the
+    recurrent weight gradient are single 4H-wide GEMMs per direction, the
+    latter after the loop.
     """
+    if pre.value.ndim != 2 or w_rec.value.ndim != 2:
+        raise ValueError(
+            f"lstm_sequence: pre-activation {pre.value.shape} and recurrent matrix {w_rec.value.shape} must be 2-D"
+        )
+    if num_steps < 1 or batch_size < 1:
+        raise ValueError(f"lstm_sequence: num_steps {num_steps} and batch_size {batch_size} must be >= 1")
     hidden = w_rec.value.shape[1] // 4
     if w_rec.value.shape != (2 * hidden, 4 * hidden) or hidden == 0:
         raise ValueError(f"lstm_sequence: recurrent matrix shape {w_rec.value.shape} != (2H, 4H)")
@@ -133,43 +151,51 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
             f"lstm_sequence: pre-activation shape {pre.value.shape} != ({num_steps * batch_size}, {8 * hidden})"
         )
     steps, h4 = num_steps, 4 * hidden
-    x_pre = pre.value.reshape(steps, batch_size, 8 * hidden)
-    x_fwd = x_pre[:, :, :h4]
-    x_bwd = x_pre[::-1, :, h4:]  # step s of the backward direction reads time T-1-s
+    # time-aligned input, [step, batch, gate, H] per direction; the backward
+    # direction's step s reads time T-1-s
+    x_pre = pre.value.reshape(steps, batch_size, 2, 4, hidden)
+    x_fwd = x_pre[:, :, 0].transpose(0, 2, 1, 3)
+    x_bwd = x_pre[::-1, :, 1].transpose(0, 2, 1, 3)
     u = w_rec.value.reshape(2, hidden, h4)
-    # per-step caches, step-major: [step, direction, batch, feature]; without
-    # gradients, act/cell/tanh_c hold the current step only (slot 0)
-    cached = steps if ad.grad_enabled() else 1
-    act = np.empty((cached, 2, batch_size, h4))  # post-activation gates
-    cell = np.empty((cached, 2, batch_size, hidden))
+    u_gate = u.reshape(2, hidden, 4, hidden).transpose(2, 0, 1, 3).copy()  # [gate, direction, H, H]
+    u_gate[:3] *= -1.0
+    # step-major caches [step, gate, direction, batch, H]; in grad mode they
+    # span every step, under no_grad one block that the loop refills
+    block = steps if ad.grad_enabled() else min(steps, LSTM_BLOCK_STEPS)
+    act = np.empty((block, 4, 2, batch_size, hidden))  # time-aligned input, then post-activation gates
+    cell = np.empty((block, 2, batch_size, hidden))
     tanh_c = np.empty_like(cell)
-    h_all = np.empty((steps, 2, batch_size, hidden))
+    h_all = np.empty_like(cell)
+    sig_all, i_all, f_all, o_all, g_all = act[:, :3], act[:, 0], act[:, 1], act[:, 2], act[:, 3]
+    rec = np.empty((4, 2, batch_size, hidden))
     tmp = np.empty((2, batch_size, hidden))
     h = np.zeros((2, batch_size, hidden))
     c = np.zeros((2, batch_size, hidden))
-    with np.errstate(over="ignore"):  # exp overflow saturates the sigmoid to 0, which is exact
-        for s in range(steps):
-            k = s % cached
-            a = act[k]
-            np.matmul(h, u, out=a)
-            a[0] += x_fwd[s]
-            a[1] += x_bwd[s]
-            sig = a[:, :, : 3 * hidden]
-            np.negative(sig, out=sig)
-            np.exp(sig, out=sig)
-            sig += 1.0
-            np.reciprocal(sig, out=sig)
-            np.tanh(a[:, :, 3 * hidden :], out=a[:, :, 3 * hidden :])
-            np.multiply(a[:, :, hidden : 2 * hidden], c, out=tmp)  # reads c before cell[k] is overwritten
-            np.multiply(a[:, :, :hidden], a[:, :, 3 * hidden :], out=cell[k])
-            cell[k] += tmp
-            c = cell[k]
-            np.tanh(c, out=tanh_c[k])
-            np.multiply(a[:, :, 2 * hidden : 3 * hidden], tanh_c[k], out=h_all[s])
-            h = h_all[s]
     out_value = np.empty((steps, batch_size, 2 * hidden))
-    out_value[:, :, :hidden] = h_all[:, 0]
-    out_value[:, :, hidden:] = h_all[::-1, 1]
+    out_fwd = out_value[:, :, :hidden]
+    out_bwd = out_value[::-1, :, hidden:]
+    with np.errstate(over="ignore"):  # exp overflow saturates the sigmoid to 0, which is exact
+        for s0 in range(0, steps, block):
+            n = min(block, steps - s0)
+            np.negative(x_fwd[s0 : s0 + n, :3], out=act[:n, :3, 0])
+            np.negative(x_bwd[s0 : s0 + n, :3], out=act[:n, :3, 1])
+            act[:n, 3, 0] = x_fwd[s0 : s0 + n, 3]
+            act[:n, 3, 1] = x_bwd[s0 : s0 + n, 3]
+            for a, sig, i, f, o, g, c_k, tanh_k, h_k in zip(
+                act[:n], sig_all[:n], i_all[:n], f_all[:n], o_all[:n], g_all[:n], cell[:n], tanh_c[:n], h_all[:n]
+            ):
+                np.matmul(h, u_gate, out=rec)
+                a += rec
+                ad.sigmoid_of_negated(sig)
+                np.tanh(g, out=g)
+                np.multiply(f, c, out=tmp)  # reads c before c_k is overwritten
+                np.multiply(i, g, out=c_k)
+                c_k += tmp
+                np.tanh(c_k, out=tanh_k)
+                np.multiply(o, tanh_k, out=h_k)
+                c, h = c_k, h_k
+            out_fwd[s0 : s0 + n] = h_all[:n, 0]
+            out_bwd[s0 : s0 + n] = h_all[:n, 1]
     out = Node(out_value.reshape(steps * batch_size, 2 * hidden), (pre, w_rec), "lstm_sequence")
 
     def backward(g):
@@ -177,20 +203,16 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
         g_h = np.empty_like(h_all)
         g_h[:, 0] = g_out[:, :, :hidden]
         g_h[:, 1] = g_out[::-1, :, hidden:]
-        i_all = act[..., :hidden]
-        f_all = act[..., hidden : 2 * hidden]
-        o_all = act[..., 2 * hidden : 3 * hidden]
-        g_all = act[..., 3 * hidden :]
-        sig = act[..., : 3 * hidden]
-        d_sig = sig - sig * sig  # sigmoid derivatives of the i, f, o slab
-        # per-gate factors that scale dc, vectorized over all steps, in gate
-        # order; the output-gate slot stays zero here and is set in the loop
-        # (it scales dh), and the forget slot of step 0 stays zero (c_prev = 0)
+        d_sig = sig_all - sig_all * sig_all  # sigmoid derivatives of the i, f, o slab
+        # per-gate factors that scale dc, vectorized over all steps, in the
+        # [step, direction, batch, gate, H] layout of the dh GEMM; the
+        # output-gate slot stays zero here and is set in the loop (it scales
+        # dh), and the forget slot of step 0 stays zero (c_prev = 0)
         local = np.zeros((steps, 2, batch_size, 4, hidden))
-        local[..., 0, :] = g_all * d_sig[..., :hidden]
-        local[1:, ..., 1, :] = cell[:-1] * d_sig[1:, ..., hidden : 2 * hidden]
+        local[..., 0, :] = g_all * d_sig[:, 0]
+        local[1:, ..., 1, :] = cell[:-1] * d_sig[1:, 1]
         local[..., 3, :] = i_all * (1.0 - g_all * g_all)
-        pre_o = tanh_c * d_sig[..., 2 * hidden :]
+        pre_o = tanh_c * d_sig[:, 2]
         d_tanh_c = o_all * (1.0 - tanh_c * tanh_c)
         d_act = np.empty((steps, 2, batch_size, 4, hidden))
         u_t = u.transpose(0, 2, 1).copy()
@@ -239,7 +261,6 @@ class BiLstmLayer:
     def __init__(self, params: ParamStore, name: str, input_size: int, hidden_size: int,
                  rng: np.random.Generator):
         self.input_size = input_size
-        self.hidden_size = hidden_size
         self.w_in = {}
         self.w_rec = {}
         self.b = {}
@@ -277,8 +298,6 @@ class DenseLayer:
                  activation: str, rng: np.random.Generator):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"DenseLayer: unknown activation '{activation}'")
-        self.in_size = in_size
-        self.out_size = out_size
         self.activation = activation
         self.w = params.add(f"{name}.w", uniform_init(rng, in_size, (in_size, out_size)))
         self.b = params.add(f"{name}.b", np.zeros(out_size))

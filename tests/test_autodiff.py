@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,15 @@ class TestForwardValues:
         assert float(y.value) == 0.5
         backward(y)
         assert float(x.grad) == 0.25
+
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        x = parameter(np.array([1000.0, -1000.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ad.sigmoid(x)
+            backward(ad.mean(y))
+        assert y.value.tolist() == [1.0, 0.0]
+        assert x.grad.tolist() == [0.0, 0.0]
 
 
 class TestBackwardSemantics:

@@ -13,7 +13,15 @@ kernel) regenerates the values with
     PYTHONPATH=src python tests/test_fingerprint.py
 
 pastes the printed block over the one below, and says so in CHANGES.md.
+
+The same command also prints one SHA256 line over the exact bytes of the
+loss, every gradient (store order) and every separate() output. Tolerances
+cannot show a change in the last bit, so a claim that a change keeps the
+arithmetic bit for bit is checked by running the command on the parent and on
+the change (on the same machine) and comparing that line.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -86,21 +94,35 @@ SEPARATE = [
 # --- end of recorded values ---
 
 
-def fingerprint(root):
-    """(batch loss, {parameter name: gradient norm}, [(norm, first, last) per source])."""
+def run(root):
+    """The raw arrays: batch loss, {parameter name: gradient}, one separate() output per source."""
     train = load_corpus(default_desk_corpus(root, seed=CORPUS_SEED)["train"].path)[:BATCH]
     model = build(ModelConfig(seed=0))
     loss = batch_loss(model, train)
     ad.backward(loss)
-    grads = {name: float(np.linalg.norm(node.grad)) for name, node in model.params.items()}
+    grads = {name: node.grad for name, node in model.params.items()}
     outputs = [w.samples for w in model.separate(train[0].mixture)]
+    return loss.value, grads, outputs
+
+
+def fingerprint(loss, grads, outputs):
+    """(batch loss, {parameter name: gradient norm}, [(norm, first, last) per source])."""
+    norms = {name: float(np.linalg.norm(g)) for name, g in grads.items()}
     separate = [(float(np.linalg.norm(y)), float(y[0]), float(y[-1])) for y in outputs]
-    return float(loss.value), grads, separate
+    return float(loss), norms, separate
+
+
+def sha256(loss, grads, outputs):
+    """Hex SHA-256 over the float64 bytes of the loss, the gradients and the outputs, in that order."""
+    digest = hashlib.sha256()
+    for array in [loss, *grads.values(), *outputs]:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory):
-    return fingerprint(tmp_path_factory.mktemp("fingerprint_corpus"))
+    return fingerprint(*run(tmp_path_factory.mktemp("fingerprint_corpus")))
 
 
 def test_batch_loss(measured):
@@ -128,7 +150,8 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as root:
-        loss, grads, separate = fingerprint(root)
+        raw = run(root)
+    loss, grads, separate = fingerprint(*raw)
     print(f"BATCH_LOSS = {loss!r}")
     print("GRAD_NORMS = {")
     for name, value in grads.items():
@@ -138,3 +161,4 @@ if __name__ == "__main__":
     for row in separate:
         print(f"    {row!r},")
     print("]")
+    print(f"SHA256 = {sha256(*raw)}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,9 +239,15 @@ class TestBiLstm:
             layer.forward(constant(np.zeros((0, 3))))
 
 
+BLOCK = ly.LSTM_BLOCK_STEPS
+# lengths around the no_grad block boundary: short, one before, on, one after
+# a boundary, and several blocks later
+LSTM_STEPS = [1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
 class TestLstmSequence:
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("steps", LSTM_STEPS)
     def test_matches_two_unidirectional_loops(self, steps, batch):
         rng = np.random.default_rng(100 + 10 * steps + batch)
         hidden = 4
@@ -250,7 +258,7 @@ class TestLstmSequence:
         assert np.max(np.abs(got - naive_bilstm(pre, w_rec, steps, batch))) < 1e-12
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("steps", LSTM_STEPS)
     def test_no_grad_bit_identical_and_detached(self, steps, batch):
         rng = np.random.default_rng(200 + 10 * steps + batch)
         hidden = 4
@@ -262,6 +270,34 @@ class TestLstmSequence:
         assert np.array_equal(got.value, want.value)
         assert got.parents == () and got._backward is None
         assert want.parents == (pre, w_rec)
+
+    def test_desk_shape(self):
+        steps, batch, hidden = 199, 8, 64
+        rng = np.random.default_rng(300)
+        pre = constant(rng.normal(size=(steps * batch, 8 * hidden)))
+        w_rec = constant(rng.uniform(-0.125, 0.125, size=(2 * hidden, 4 * hidden)))
+        want = ly.lstm_sequence(pre, w_rec, steps, batch).value
+        assert np.max(np.abs(want - naive_bilstm(pre.value, w_rec.value, steps, batch))) < 1e-12
+        with ad.no_grad():
+            assert np.array_equal(ly.lstm_sequence(pre, w_rec, steps, batch).value, want)
+
+    def test_no_grad_memory_bounded(self):
+        # under no_grad the kernel keeps one block of step state and makes no
+        # full-size copy of pre: beyond its output it allocates less than a
+        # quarter of pre's bytes (one full [T x 2H] hidden-state cache alone
+        # would be that quarter)
+        steps, hidden = 3199, 64
+        rng = np.random.default_rng(301)
+        pre = constant(rng.normal(size=(steps, 8 * hidden)))
+        w_rec = constant(rng.uniform(-0.125, 0.125, size=(2 * hidden, 4 * hidden)))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ly.lstm_sequence(pre, w_rec, steps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.value.nbytes < pre.value.nbytes / 4
 
     def test_gradients(self):
         rng = np.random.default_rng(101)
@@ -288,6 +324,17 @@ class TestLstmSequence:
             ly.lstm_sequence(pre, constant(np.zeros((4, 16))), 3, 2)  # one direction's rows only
         with pytest.raises(ValueError, match="recurrent matrix shape"):
             ly.lstm_sequence(pre, constant(np.zeros((8, 8))), 3, 2)
+
+    def test_non_matrix_inputs_rejected(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            ly.lstm_sequence(constant(np.zeros((6, 32))), constant(np.zeros(16)), 3, 2)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            ly.lstm_sequence(constant(np.zeros((3, 2, 32))), constant(np.zeros((8, 16))), 3, 2)
+
+    @pytest.mark.parametrize("steps, batch", [(0, 2), (3, 0), (-1, 2)])
+    def test_empty_steps_or_batch_rejected(self, steps, batch):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ly.lstm_sequence(constant(np.zeros((0, 32))), constant(np.zeros((8, 16))), steps, batch)
 
 
 class TestDense:

@@ -90,7 +90,7 @@ class TestBuild:
 
     def test_three_sources_head_width(self):
         model = build(ModelConfig(num_sources=3))
-        assert model.head.out_size == 240
+        assert model.head.b.value.shape == (240,)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="num_sources"):
