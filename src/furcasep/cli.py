@@ -157,7 +157,10 @@ def cmd_separate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     for i, estimate in enumerate(model.separate(mixture), start=1):
-        write_wav(estimate, out_dir / f"{stem}.s{i}.wav")
+        out_path = out_dir / f"{stem}.s{i}.wav"
+        clamped = write_wav(estimate, out_path)
+        if clamped:
+            print(f"warning: {out_path}: {clamped} samples clamped to [-1, 1]", file=sys.stderr)
     print(out_dir)
     return 0
 

@@ -3,6 +3,10 @@ normalization, bidirectional LSTM with hand-rolled backpropagation through
 time, dense layers, a differentiable overlap-add, and the permutation-invariant
 utterance-SDR loss head.
 
+Layers create their weights at zero. reset(rng) draws them in place by the
+uniform fan-in rule and sets every bias and gain to its initial constant; a
+model loaded from a checkpoint is filled from the file and draws nothing.
+
 Sequence tensors are time-major: an [T*B x F] matrix stores step t of batch
 element b at row t*B + b. Non-recurrent layers are row-wise and do not care.
 
@@ -35,9 +39,13 @@ LAYER_NORM_EPS = 1e-5  # variance guard of layer_norm_rows
 LSTM_BLOCK_STEPS = 64  # steps of lstm_sequence state kept under no_grad
 
 
-def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = math.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def uniform_init(rng: np.random.Generator, weight: np.ndarray) -> None:
+    """Fill a [fan_in x fan_out] weight in place with U(-b, b) draws, b = 1/sqrt(fan_in).
+
+    This is the one function that draws initial values; the layers' reset(rng) calls it.
+    """
+    bound = math.sqrt(1.0 / weight.shape[0])
+    weight[...] = rng.uniform(-bound, bound, size=weight.shape)
 
 
 class GConvLayer:
@@ -50,17 +58,23 @@ class GConvLayer:
     [kernel_len*in_channels x out_channels] with tap-major rows.
     """
 
-    def __init__(self, params: ParamStore, name: str, in_channels: int, out_channels: int,
-                 kernel_len: int, rng: np.random.Generator):
+    def __init__(self, params: ParamStore, name: str, in_channels: int, out_channels: int, kernel_len: int):
         if min(in_channels, out_channels, kernel_len) < 1:
             raise ValueError("GConvLayer: all dimensions must be positive")
         self.in_channels = in_channels
         self.kernel_len = kernel_len
         fan_in = in_channels * kernel_len
-        self.w = params.add(f"{name}.w", uniform_init(rng, fan_in, (fan_in, out_channels)))
+        self.w = params.add(f"{name}.w", np.zeros((fan_in, out_channels)))
         self.b = params.add(f"{name}.b", np.zeros(out_channels))
-        self.w_gate = params.add(f"{name}.w_gate", uniform_init(rng, fan_in, (fan_in, out_channels)))
+        self.w_gate = params.add(f"{name}.w_gate", np.zeros((fan_in, out_channels)))
         self.b_gate = params.add(f"{name}.b_gate", np.zeros(out_channels))
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Draw both kernels from rng, linear path first, and zero both biases."""
+        uniform_init(rng, self.w.value)
+        self.b.value[...] = 0.0
+        uniform_init(rng, self.w_gate.value)
+        self.b_gate.value[...] = 0.0
 
     def forward_windows(self, windows: Node) -> Node:
         """Apply both paths to rows that are already flattened conv windows."""
@@ -106,6 +120,11 @@ class LayerNorm:
     def __init__(self, params: ParamStore, name: str, dim: int):
         self.gain = params.add(f"{name}.gain", np.ones(dim))
         self.bias = params.add(f"{name}.bias", np.zeros(dim))
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Back to gain 1 and bias 0; draws nothing from rng."""
+        self.gain.value[...] = 1.0
+        self.bias.value[...] = 0.0
 
     def forward(self, x: Node) -> Node:
         return layer_norm_rows(x, self.gain, self.bias)
@@ -252,28 +271,30 @@ class BiLstmLayer:
     fwd.b [4H], then the same for bwd; gate columns i, f, o, g), which is the
     checkpoint layout. Each forward call stacks them into the fused layout of
     lstm_sequence: w_in side by side, b end to end, w_rec forward rows over
-    backward rows. Forget-gate bias columns start at 1.0; everything else
-    follows the uniform fan-in rule.
+    backward rows. reset(rng) sets the forget-gate bias columns to 1.0 and
+    draws the weights by the uniform fan-in rule.
     """
 
     DIRECTIONS = ("fwd", "bwd")
 
-    def __init__(self, params: ParamStore, name: str, input_size: int, hidden_size: int,
-                 rng: np.random.Generator):
+    def __init__(self, params: ParamStore, name: str, input_size: int, hidden_size: int):
         self.input_size = input_size
         self.w_in = {}
         self.w_rec = {}
         self.b = {}
-        for direction in self.DIRECTIONS:
-            self.w_in[direction] = params.add(
-                f"{name}.{direction}.w_in", uniform_init(rng, input_size, (input_size, 4 * hidden_size))
-            )
-            self.w_rec[direction] = params.add(
-                f"{name}.{direction}.w_rec", uniform_init(rng, hidden_size, (hidden_size, 4 * hidden_size))
-            )
-            bias = np.zeros(4 * hidden_size)
-            bias[hidden_size : 2 * hidden_size] = 1.0
-            self.b[direction] = params.add(f"{name}.{direction}.b", bias)
+        for d in self.DIRECTIONS:
+            self.w_in[d] = params.add(f"{name}.{d}.w_in", np.zeros((input_size, 4 * hidden_size)))
+            self.w_rec[d] = params.add(f"{name}.{d}.w_rec", np.zeros((hidden_size, 4 * hidden_size)))
+            self.b[d] = params.add(f"{name}.{d}.b", np.zeros(4 * hidden_size))
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Per direction, draw w_in then w_rec from rng and set the bias (forget columns 1.0)."""
+        hidden = self.w_rec["fwd"].value.shape[0]
+        for d in self.DIRECTIONS:
+            uniform_init(rng, self.w_in[d].value)
+            uniform_init(rng, self.w_rec[d].value)
+            self.b[d].value[...] = 0.0
+            self.b[d].value[hidden : 2 * hidden] = 1.0
 
     def forward(self, x: Node, batch_size: int = 1) -> Node:
         """[T*B x input_size] time-major in, [T*B x 2*hidden_size] out."""
@@ -294,13 +315,17 @@ class DenseLayer:
 
     ACTIVATIONS = ("relu", "linear")
 
-    def __init__(self, params: ParamStore, name: str, in_size: int, out_size: int,
-                 activation: str, rng: np.random.Generator):
+    def __init__(self, params: ParamStore, name: str, in_size: int, out_size: int, activation: str):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"DenseLayer: unknown activation '{activation}'")
         self.activation = activation
-        self.w = params.add(f"{name}.w", uniform_init(rng, in_size, (in_size, out_size)))
+        self.w = params.add(f"{name}.w", np.zeros((in_size, out_size)))
         self.b = params.add(f"{name}.b", np.zeros(out_size))
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Draw the weight from rng and zero the bias."""
+        uniform_init(rng, self.w.value)
+        self.b.value[...] = 0.0
 
     def forward(self, x: Node) -> Node:
         y = ad.affine(x, self.w, self.b)

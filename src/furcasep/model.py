@@ -93,10 +93,20 @@ class FurcaNet:
     """The separation network plus its frame-in / utterance-out pipeline."""
 
     def __init__(self, config: ModelConfig):
+        self._wire(config)
+        self._draw(config.seed)
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig) -> "FurcaNet":
+        """The wired network with its initial values not drawn, for a checkpoint load to fill."""
+        model = cls.__new__(cls)
+        model._wire(config)
+        return model
+
+    def _wire(self, config: ModelConfig) -> None:
         config.validate()
         self.config = config
         self.params = ParamStore()
-        rng = np.random.default_rng(config.seed)
         c = config
         self.gconvs = []
         self.norms = []
@@ -104,30 +114,41 @@ class FurcaNet:
             # the first kernel spans the whole frame, later ones are pointwise
             in_channels, kernel_len = (1, c.frame_len) if i == 0 else (c.gconv_channels, 1)
             self.gconvs.append(
-                ly.GConvLayer(self.params, f"gconv{i + 1}", in_channels, c.gconv_channels, kernel_len, rng)
+                ly.GConvLayer(self.params, f"gconv{i + 1}", in_channels, c.gconv_channels, kernel_len)
             )
             self.norms.append(ly.LayerNorm(self.params, f"ln{i + 1}", c.gconv_channels))
         self.bilstms = []
         lstm_in = c.gconv_channels
         for i in range(c.bilstm_layers):
-            self.bilstms.append(ly.BiLstmLayer(self.params, f"bilstm{i + 1}", lstm_in, c.bilstm_hidden, rng))
+            self.bilstms.append(ly.BiLstmLayer(self.params, f"bilstm{i + 1}", lstm_in, c.bilstm_hidden))
             lstm_in = 2 * c.bilstm_hidden
         self.dnn = []
         dense_in = lstm_in
         for i in range(c.dnn_layers):
-            self.dnn.append(ly.DenseLayer(self.params, f"dnn{i + 1}", dense_in, c.dnn_width, "relu", rng))
+            self.dnn.append(ly.DenseLayer(self.params, f"dnn{i + 1}", dense_in, c.dnn_width, "relu"))
             dense_in = c.dnn_width
-        self.head = ly.DenseLayer(self.params, "head", dense_in, c.num_sources * c.frame_len, "linear", rng)
+        self.head = ly.DenseLayer(self.params, "head", dense_in, c.num_sources * c.frame_len, "linear")
+
+    def _draw(self, seed: int) -> None:
+        """Set every parameter to its initial value from one generator seeded with seed.
+
+        The weights are drawn in the order the layers were wired (the layer
+        norms draw nothing), so the values depend only on the config and seed.
+        """
+        rng = np.random.default_rng(seed)
+        for layer in (*self.gconvs, *self.norms, *self.bilstms, *self.dnn, self.head):
+            layer.reset(rng)
 
     @property
     def param_count(self) -> int:
         return self.params.total_size
 
     def reinit(self, seed: int) -> None:
-        """Re-draw all parameters from a new seed, in place."""
-        fresh = FurcaNet(dataclasses.replace(self.config, seed=seed))
-        self.params.load_flat_values(fresh.params.flat_values())
-        self.config = fresh.config
+        """Re-draw all parameters from a new seed, in place, to the values FurcaNet gives that seed."""
+        config = dataclasses.replace(self.config, seed=seed)
+        config.validate()
+        self._draw(seed)
+        self.config = config
 
     def forward_batch(self, mixtures: list[Waveform]) -> list[list[Node]]:
         """Forward a batch of equal-length mixtures; returns per-utterance lists of S outputs."""
@@ -185,25 +206,30 @@ def save_checkpoint(model: FurcaNet, path) -> None:
     """Versioned binary checkpoint: magic, version, config JSON, raw float64 LE
     parameters in store order, CRC32 footer.
 
-    The bytes go to a temporary file next to path, which then replaces path
-    in one os.replace: a failed write leaves any earlier checkpoint intact
-    and removes the temporary file.
+    One pass: the header is written first, then each parameter's bytes
+    straight from its array, with the CRC32 carried along; the payload is
+    never staged in a second buffer, so a save holds nothing the size of the
+    file beyond the parameters themselves. The bytes go to a temporary file
+    next to path, which then replaces path in one os.replace: a failed write
+    leaves any earlier checkpoint intact and removes the temporary file.
     """
     cfg_json = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
-    values = model.params.flat_values()
-    payload = (
+    header = (
         CHECKPOINT_MAGIC
-        + struct.pack("<I", CHECKPOINT_VERSION)
-        + struct.pack("<I", len(cfg_json))
+        + struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json))
         + cfg_json
-        + struct.pack("<Q", values.size)
-        + values.astype("<f8").tobytes()
+        + struct.pack("<Q", model.params.total_size)
     )
-    payload += struct.pack("<I", zlib.crc32(payload))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            fh.write(header)
+            crc = zlib.crc32(header)
+            for node in model.params.nodes():
+                block = np.ascontiguousarray(node.value, dtype="<f8")  # a copy only on big-endian hosts
+                fh.write(block)
+                crc = zlib.crc32(block, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -212,16 +238,24 @@ def save_checkpoint(model: FurcaNet, path) -> None:
 
 
 def load_checkpoint(path) -> FurcaNet:
+    """Read a checkpoint written by save_checkpoint; any damage raises CheckpointError.
+
+    One pass: the file is read once; the CRC, the header and the parameter
+    block are all read through views of that one buffer. The network is
+    wired without drawing initial values, and the parameter block is copied
+    once, straight into the parameters, so a load peaks at about twice the
+    file size.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(CHECKPOINT_MAGIC) + 12:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    body = memoryview(data)[:-4]
+    (stored_crc,) = struct.unpack_from("<I", data, len(body))
+    if zlib.crc32(body) != stored_crc:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    if body[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    body = data[:-4]
     offset = len(CHECKPOINT_MAGIC)
     version, cfg_len = struct.unpack_from("<II", body, offset)  # within the length checked above
     offset += 8
@@ -230,13 +264,13 @@ def load_checkpoint(path) -> FurcaNet:
     if len(body) - offset < cfg_len + 8:
         raise CheckpointError(f"{path}: file ends inside the {cfg_len}-byte config block or the count after it")
     try:
-        cfg = ModelConfig.from_dict(json.loads(body[offset : offset + cfg_len].decode("utf-8")))
+        cfg = ModelConfig.from_dict(json.loads(bytes(body[offset : offset + cfg_len]).decode("utf-8")))
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
     offset += cfg_len
     (count,) = struct.unpack_from("<Q", body, offset)
     offset += 8
-    model = FurcaNet(cfg)
+    model = FurcaNet._unfilled(cfg)
     if count != model.params.total_size:
         raise CheckpointError(
             f"{path}: parameter count {count} does not match config ({model.params.total_size})"
@@ -244,5 +278,5 @@ def load_checkpoint(path) -> FurcaNet:
     blob = body[offset:]
     if len(blob) != 8 * count:
         raise CheckpointError(f"{path}: parameter block has {len(blob)} bytes, expected {8 * count}")
-    model.params.load_flat_values(np.frombuffer(blob, dtype="<f8").copy())
+    model.params.load_flat_values(np.frombuffer(blob, dtype="<f8"))
     return model

@@ -79,7 +79,8 @@ class TestCriterion1GradientIntegrity:
         worst = {}
 
         params = ad.ParamStore()
-        gconv = ly.GConvLayer(params, "g", 1, cfg.gconv_channels, cfg.frame_len, np.random.default_rng(1))
+        gconv = ly.GConvLayer(params, "g", 1, cfg.gconv_channels, cfg.frame_len)
+        gconv.reset(np.random.default_rng(1))
         frames = rng.normal(size=(12, cfg.frame_len))
         worst["gconv"] = ad.grad_check(
             lambda p: ad.mean(gconv.forward_windows(ad.constant(frames))),
@@ -95,16 +96,16 @@ class TestCriterion1GradientIntegrity:
         )
 
         params = ad.ParamStore()
-        lstm = ly.BiLstmLayer(params, "l", cfg.gconv_channels, cfg.bilstm_hidden,
-                              np.random.default_rng(2))
+        lstm = ly.BiLstmLayer(params, "l", cfg.gconv_channels, cfg.bilstm_hidden)
+        lstm.reset(np.random.default_rng(2))
         seq = rng.normal(size=(6, cfg.gconv_channels))
         worst["bilstm"] = ad.grad_check(
             lambda p: ad.mean(lstm.forward(ad.constant(seq))), params, coords_per_param=6,
         )
 
         params = ad.ParamStore()
-        dense = ly.DenseLayer(params, "d", cfg.dnn_width, cfg.dnn_width, "relu",
-                              np.random.default_rng(3))
+        dense = ly.DenseLayer(params, "d", cfg.dnn_width, cfg.dnn_width, "relu")
+        dense.reset(np.random.default_rng(3))
         xd = rng.normal(size=(8, cfg.dnn_width)) + 0.3
         worst["dense"] = ad.grad_check(
             lambda p: ad.mean(dense.forward(ad.constant(xd))), params, coords_per_param=6,

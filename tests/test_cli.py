@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from furcasep import cli
 from furcasep.cli import _pit_sdri, evaluate_model, main, parse_config_file
 from furcasep.corpus import generate_corpus, load_corpus
 from furcasep.metrics import pit_assign, sdr
 from furcasep.model import ModelConfig, build, load_checkpoint, save_checkpoint
-from furcasep.signal import read_wav
+from furcasep.signal import Waveform, read_wav
 from furcasep.spectral import irm_separate
 from furcasep.training import TrainConfig, desk_train_config
 
@@ -236,6 +237,40 @@ class TestSeparateCommand:
         rc = main(["separate", "--model", str(bad), "--input", str(mixture), "--out", str(tmp_path / "o")])
         assert rc != 0
         assert "checksum" in capsys.readouterr().err
+
+
+class RampModel:
+    """Stands in for a loaded model: source 1 is a ramp from -peak to peak, source 2 half of it."""
+
+    def __init__(self, peak):
+        self.peak = peak
+
+    def separate(self, mixture):
+        ramp = np.linspace(-self.peak, self.peak, len(mixture))
+        return [Waveform(ramp, mixture.sample_rate_hz), Waveform(0.5 * ramp, mixture.sample_rate_hz)]
+
+
+class TestSeparateClampWarning:
+    def run(self, monkeypatch, capsys, corpus_dir, out, peak):
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: RampModel(peak))
+        mixture = next((corpus_dir / "train" / "wav").glob("*.mix.wav"))
+        rc = main(["separate", "--model", "stub.ckpt", "--input", str(mixture), "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{out}\n"
+        return mixture, captured.err
+
+    def test_one_line_per_clamped_file(self, monkeypatch, capsys, corpus_dir, tmp_path):
+        out = tmp_path / "sep"
+        mixture, err = self.run(monkeypatch, capsys, corpus_dir, out, peak=1.5)
+        ramp = RampModel(1.5).separate(read_wav(mixture))[0].samples
+        clamped = int(np.count_nonzero(np.abs(ramp) > 1.0))
+        assert clamped > 0
+        assert err == f"warning: {out / (mixture.stem + '.s1.wav')}: {clamped} samples clamped to [-1, 1]\n"
+
+    def test_in_range_output_prints_nothing(self, monkeypatch, capsys, corpus_dir, tmp_path):
+        _, err = self.run(monkeypatch, capsys, corpus_dir, tmp_path / "sep", peak=1.0)
+        assert err == ""
 
 
 class TestEvaluateCommand:

@@ -19,16 +19,24 @@ loss, every gradient (store order) and every separate() output. Tolerances
 cannot show a change in the last bit, so a claim that a change keeps the
 arithmetic bit for bit is checked by running the command on the parent and on
 the change (on the same machine) and comparing that line.
+
+A second block pins what involves no arithmetic beyond the generator's draw:
+the SHA-256 of the initial parameter values (float64 little-endian, store
+order) for model seeds 0-3, reached through build, FurcaNet and reinit, and
+of the seed-0 desk checkpoint file that save_checkpoint writes. These are not
+regenerated by a rounding change: a new value means every seed's network or
+the v1 file format changed. The command prints them too.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from furcasep import autodiff as ad
 from furcasep.corpus import default_desk_corpus, load_corpus
-from furcasep.model import ModelConfig, build
+from furcasep.model import FurcaNet, ModelConfig, build, save_checkpoint
 from furcasep.training import batch_loss
 
 REL = 1e-12
@@ -93,6 +101,15 @@ SEPARATE = [
 ]
 # --- end of recorded values ---
 
+# --- initial values and checkpoint bytes (never regenerated, see above) ---
+INIT_SHA256 = {
+    0: 'e89110f6cefe10c306d0e44b594cad066e24f3ba44ab09c8bd4b2f899f6534e9',
+    1: '52784d097e92a26ac1f9dfab7aafe8354d90e9059d1a8ba447771b57525ab131',
+    2: 'e495eac6e471fc45e22a738902f2f0ae5f96d0968966a141bbc65e822649e701',
+    3: '0568dffdd1973e29f4cd7b0ccc3c9ad70b336dd250da5b8d973e0c201ecdb937',
+}
+CHECKPOINT_SHA256 = '3585812c19854e8d88166292a374914568c5359d6b85cc58b988093fa091512c'
+
 
 def run(root):
     """The raw arrays: batch loss, {parameter name: gradient}, one separate() output per source."""
@@ -118,6 +135,18 @@ def sha256(loss, grads, outputs):
     for array in [loss, *grads.values(), *outputs]:
         digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def init_sha256(model):
+    """Hex SHA-256 over the model's parameter values as float64 little-endian, store order."""
+    return hashlib.sha256(model.params.flat_values().astype("<f8").tobytes()).hexdigest()
+
+
+def checkpoint_sha256(root):
+    """Hex SHA-256 of the file save_checkpoint writes for the seed-0 desk model."""
+    path = Path(root) / "seed0.ckpt"
+    save_checkpoint(build(ModelConfig(seed=0)), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +175,24 @@ def test_separate_output(measured):
         assert last == pytest.approx(want_last, rel=REL, abs=REL * want_norm)
 
 
+@pytest.mark.parametrize("seed", sorted(INIT_SHA256))
+def test_initial_values(seed):
+    config = ModelConfig(seed=seed)
+    assert init_sha256(build(config)) == INIT_SHA256[seed]
+    assert init_sha256(FurcaNet(config)) == INIT_SHA256[seed]
+
+
+def test_reinit_initial_values():
+    model = build(ModelConfig(seed=7))
+    for seed, want in INIT_SHA256.items():
+        model.reinit(seed)
+        assert init_sha256(model) == want, seed
+
+
+def test_checkpoint_bytes(tmp_path):
+    assert checkpoint_sha256(tmp_path) == CHECKPOINT_SHA256
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -162,3 +209,9 @@ if __name__ == "__main__":
         print(f"    {row!r},")
     print("]")
     print(f"SHA256 = {sha256(*raw)}")
+    print("INIT_SHA256 = {")
+    for seed in sorted(INIT_SHA256):
+        print(f"    {seed}: {init_sha256(build(ModelConfig(seed=seed)))!r},")
+    print("}")
+    with tempfile.TemporaryDirectory() as root:
+        print(f"CHECKPOINT_SHA256 = {checkpoint_sha256(root)!r}")

@@ -68,7 +68,8 @@ class TestGConv:
 
     def make(self, c_in=1, c_out=3, kernel=8, seed=0):
         params = ParamStore()
-        layer = ly.GConvLayer(params, "g", c_in, c_out, kernel, np.random.default_rng(seed))
+        layer = ly.GConvLayer(params, "g", c_in, c_out, kernel)
+        layer.reset(np.random.default_rng(seed))
         return params, layer
 
     def test_zero_gate_halves_linear_path(self):
@@ -170,7 +171,8 @@ class TestLayerNorm:
 class TestBiLstm:
     def make(self, input_size=3, hidden=4, seed=0):
         params = ParamStore()
-        layer = ly.BiLstmLayer(params, "lstm", input_size, hidden, np.random.default_rng(seed))
+        layer = ly.BiLstmLayer(params, "lstm", input_size, hidden)
+        layer.reset(np.random.default_rng(seed))
         return params, layer
 
     def test_zero_weights_zero_output(self):
@@ -229,7 +231,7 @@ class TestBiLstm:
 
     def test_parameter_names_and_order(self):
         params = ParamStore()
-        ly.BiLstmLayer(params, "l", 3, 4, np.random.default_rng(0))
+        ly.BiLstmLayer(params, "l", 3, 4)
         assert params.names() == ["l.fwd.w_in", "l.fwd.w_rec", "l.fwd.b", "l.bwd.w_in", "l.bwd.w_rec", "l.bwd.b"]
         assert [params[n].value.shape for n in params.names()] == [(3, 16), (4, 16), (16,)] * 2
 
@@ -340,7 +342,7 @@ class TestLstmSequence:
 class TestDense:
     def test_identity_weight_linear(self):
         params = ParamStore()
-        layer = ly.DenseLayer(params, "d", 4, 4, "linear", np.random.default_rng(0))
+        layer = ly.DenseLayer(params, "d", 4, 4, "linear")
         layer.w.value[...] = np.eye(4)
         layer.b.value[...] = 0.0
         x = np.random.default_rng(20).normal(size=(5, 4))
@@ -348,7 +350,7 @@ class TestDense:
 
     def test_relu_zeroes_negative_preactivations(self):
         params = ParamStore()
-        layer = ly.DenseLayer(params, "d", 3, 2, "relu", np.random.default_rng(1))
+        layer = ly.DenseLayer(params, "d", 3, 2, "relu")
         layer.w.value[...] = 0.0
         layer.b.value[...] = [-1.0, -2.0]
         out = layer.forward(constant(np.random.default_rng(21).normal(size=(4, 3))))
@@ -356,18 +358,20 @@ class TestDense:
 
     def test_matches_matrix_multiply(self):
         params = ParamStore()
-        layer = ly.DenseLayer(params, "d", 3, 5, "linear", np.random.default_rng(2))
+        layer = ly.DenseLayer(params, "d", 3, 5, "linear")
+        layer.reset(np.random.default_rng(2))
         x = np.random.default_rng(22).normal(size=(6, 3))
         want = x @ layer.w.value + layer.b.value
         assert np.max(np.abs(layer.forward(constant(x)).value - want)) < 1e-12
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
-            ly.DenseLayer(ParamStore(), "d", 3, 3, "gelu", np.random.default_rng(0))
+            ly.DenseLayer(ParamStore(), "d", 3, 3, "gelu")
 
     def test_gradients(self):
         params = ParamStore()
-        layer = ly.DenseLayer(params, "d", 3, 2, "relu", np.random.default_rng(3))
+        layer = ly.DenseLayer(params, "d", 3, 2, "relu")
+        layer.reset(np.random.default_rng(3))
         x = np.random.default_rng(23).normal(size=(4, 3)) + 0.5
         assert grad_check(lambda p: ad.mean(layer.forward(constant(x))), params) < 1e-4
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from furcasep import autodiff as ad
+from furcasep import layers as layers_module
 from furcasep import model as model_module
 from furcasep.corpus import MixtureExample
 from furcasep.metrics import pit_assign
@@ -25,7 +26,7 @@ from furcasep.model import (
     save_checkpoint,
 )
 from furcasep.signal import Waveform, mix_sum
-from furcasep.training import batch_loss
+from furcasep.training import AdamState, adam_step, batch_loss
 
 TINY = ModelConfig(
     frame_len=16,
@@ -108,10 +109,21 @@ class TestBuild:
 
     def test_reinit_matches_fresh_build(self):
         model = build(dataclasses.replace(TINY, seed=1))
+        arrays = [node.value for node in model.params.nodes()]
+        model.params.load_flat_values(np.full(model.param_count, 7.0))  # stands in for trained values
         model.reinit(42)
         fresh = build(dataclasses.replace(TINY, seed=42))
         assert np.array_equal(model.params.flat_values(), fresh.params.flat_values())
         assert model.config.seed == 42
+        assert all(node.value is array for node, array in zip(model.params.nodes(), arrays))  # drawn in place
+
+    def test_reinit_rejects_negative_seed_unchanged(self):
+        model = build(TINY)
+        before = model.params.flat_values()
+        with pytest.raises(ValueError, match="seed"):
+            model.reinit(-1)
+        assert model.config == TINY
+        assert np.array_equal(model.params.flat_values(), before)
 
 
 class TestForward:
@@ -356,6 +368,55 @@ class TestCheckpoint:
         save_checkpoint(new, path)
         assert os.listdir(tmp_path) == ["m.ckpt"]
         assert np.array_equal(load_checkpoint(path).params.flat_values(), new.params.flat_values())
+
+
+class TestCheckpointIo:
+    """load_checkpoint wires the network without drawing and copies the file once into
+    its parameters; save_checkpoint writes straight from the parameters."""
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        model = build(dataclasses.replace(TINY, seed=81))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draw(rng, weight):
+            raise AssertionError("initial values drawn")
+
+        monkeypatch.setattr(layers_module, "uniform_init", no_draw)
+        with pytest.raises(AssertionError, match="drawn"):
+            build(TINY)  # the patch sits on the drawing path
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.params.flat_values(), model.params.flat_values())
+
+    def test_loaded_parameters_are_owned_and_writable(self, tmp_path):
+        model = build(dataclasses.replace(TINY, seed=82))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert all(node.value.flags.owndata and node.value.flags.writeable for node in loaded.params.nodes())
+        ad.backward(batch_loss(loaded, [random_example(83)]))
+        adam_step(loaded.params, AdamState(loaded.params, learning_rate=1e-2))
+        assert not np.array_equal(loaded.params.flat_values(), model.params.flat_values())
+        assert np.array_equal(load_checkpoint(path).params.flat_values(), model.params.flat_values())
+
+    def test_peak_memory_against_file_size(self, tmp_path):
+        model = build(ModelConfig())  # desk widths: a 1.7 MB file, so the header and Python objects are noise
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 1.5 * size  # was 3.0x: a staged copy of the payload plus its CRC slice
+        assert load_peak < 2.5 * size  # was 5.0x: the file, two slices of it, a copy, and a drawn network
+        assert np.array_equal(loaded.params.flat_values(), model.params.flat_values())
 
 
 def checkpoint_bytes(cfg_dict, values):
