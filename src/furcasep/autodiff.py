@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 numpy tensors.
 
 Eager forward, taped backward: every operation computes its value immediately
-and records a closure that routes the output gradient to its inputs. Inside
-no_grad() nothing is recorded, so a forward-only pass frees each intermediate
-as soon as the next operation has used it. Scalars are 0-d arrays. There is
-no implicit broadcasting; shapes must match exactly except where an operation
-is explicitly defined otherwise (affine's bias, scale, the *_scalar helpers).
+and records a closure that routes the output gradient to its inputs.
+backward() releases each interior gradient as soon as it has been routed, so
+interior gradients are transient and only parameters keep a .grad afterwards.
+Inside no_grad() nothing is recorded, so a forward-only pass frees each
+intermediate as soon as the next operation has used it. Scalars are 0-d
+arrays. There is no implicit broadcasting; shapes must match exactly except
+where an operation is explicitly defined otherwise (affine's bias, scale, the
+*_scalar helpers).
 """
 
 from __future__ import annotations
@@ -86,7 +89,11 @@ class Node:
 
     @property
     def needs_grad(self) -> bool:
-        """Gradients are materialized for parameters and interior nodes, not plain constants."""
+        """Parameters and interior nodes receive gradients, plain constants do not.
+
+        A parameter keeps its gradient after backward(); an interior node's is
+        transient and released once its rule has run.
+        """
         return self.trainable or bool(self.parents)
 
     def accumulate_grad(self, g, own: bool = False) -> None:
@@ -369,28 +376,32 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Populate gradients of ancestors of a scalar loss (reverse topological order).
+    """Add the gradient of a scalar loss to the .grad of every parameter it depends on.
 
-    Gradients accumulate additively across fan-out and across repeated calls
-    without clearing. Non-trainable leaves (constants) do not materialize a
-    gradient; non-ancestors are untouched.
+    Nodes are visited in reverse topological order. An interior node's
+    gradient is transient: it is released as soon as the node's rule has
+    routed it to the inputs, so only parameters (trainable leaves) hold a
+    .grad when backward returns. Gradients accumulate additively across
+    fan-out and across repeated calls without clearing; each node keeps its
+    rule, so backward on the same loss again adds one more full pass.
+    Constants do not materialize a gradient; non-ancestors are untouched.
     """
     if loss.value.shape not in ((), (1,)):
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     if loss.op != "leaf" and not loss.parents:
         raise ValueError(f"backward: '{loss.op}' result has no graph; it was built under no_grad()")
     order = _topo_order(loss)
-    # set pre-existing gradients aside so this pass computes fresh adjoints,
-    # then merge them back: every call adds exactly one full gradient pass
-    saved = []
-    for node in order:
-        if node.grad is not None:
-            saved.append((node, node.grad))
-            node.grad = None
+    # set earlier parameter gradients aside and add them back at the end, so
+    # a repeated call adds one whole pass, summed in the same order as the first
+    saved = [(node, node.grad) for node in order if node.trainable and node.grad is not None]
+    for node, _ in saved:
+        node.grad = None
     loss.accumulate_grad(np.ones_like(loss.value), own=True)
     for node in reversed(order):
         if node._backward is not None:
             node._backward()
+        if not node.trainable:
+            node.grad = None
     for node, old in saved:
         if node.grad is None:
             node.grad = old

@@ -152,9 +152,13 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
     block only; in grad mode it is built once into the full per-step cache
     that backpropagation through time reads. No full-size copy of pre is made.
 
-    Backward is hand-rolled BPTT over those caches. The dh recurrence and the
-    recurrent weight gradient are single 4H-wide GEMMs per direction, the
-    latter after the loop.
+    Backward is hand-rolled BPTT over those caches. Each step's gate-derivative
+    factors are formed inside the reverse loop in small scratch buffers that
+    belong to the one backward call, so no full-length factor array is built.
+    The gate gradients land in a direction-major [direction, step, batch, 4H]
+    array. The dh recurrence and the recurrent weight gradient are single
+    4H-wide GEMMs per direction; the latter runs after the loop and reads
+    each direction's steps as contiguous rows.
     """
     if pre.value.ndim != 2 or w_rec.value.ndim != 2:
         raise ValueError(
@@ -222,42 +226,57 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
         g_h = np.empty_like(h_all)
         g_h[:, 0] = g_out[:, :, :hidden]
         g_h[:, 1] = g_out[::-1, :, hidden:]
-        d_sig = sig_all - sig_all * sig_all  # sigmoid derivatives of the i, f, o slab
-        # per-gate factors that scale dc, vectorized over all steps, in the
-        # [step, direction, batch, gate, H] layout of the dh GEMM; the
-        # output-gate slot stays zero here and is set in the loop (it scales
-        # dh), and the forget slot of step 0 stays zero (c_prev = 0)
-        local = np.zeros((steps, 2, batch_size, 4, hidden))
-        local[..., 0, :] = g_all * d_sig[:, 0]
-        local[1:, ..., 1, :] = cell[:-1] * d_sig[1:, 1]
-        local[..., 3, :] = i_all * (1.0 - g_all * g_all)
-        pre_o = tanh_c * d_sig[:, 2]
-        d_tanh_c = o_all * (1.0 - tanh_c * tanh_c)
-        d_act = np.empty((steps, 2, batch_size, 4, hidden))
+        # direction-major [direction, step, batch, gate, H]: each direction's
+        # steps are contiguous rows for the recurrent weight GEMM
+        d_act = np.empty((2, steps, batch_size, 4, hidden))
+        # one step's factors, formed in the loop in scratch owned by this call
+        d_sig = np.empty((3, 2, batch_size, hidden))  # sigmoid derivatives of the i, f, o slab
+        # the per-gate factors that scale dc, [direction, batch, gate, H]; the
+        # output-gate slot stays zero (that gate scales dh, written after the
+        # product), and the forget slot is zero at step 0 (c_prev = 0)
+        local = np.zeros((2, batch_size, 4, hidden))
+        pre_o = np.empty((2, batch_size, hidden))
+        d_tanh_c = np.empty_like(pre_o)
+        tmp = np.empty_like(pre_o)
         u_t = u.transpose(0, 2, 1).copy()
-        dh = np.empty((2, batch_size, hidden))
-        dc = np.empty((2, batch_size, hidden))
-        dh_next = np.zeros((2, batch_size, hidden))
-        dc_next = np.zeros((2, batch_size, hidden))
+        dh = np.empty_like(pre_o)
+        dc = np.empty_like(pre_o)
+        dh_next = np.zeros_like(pre_o)
+        dc_next = np.zeros_like(pre_o)
         for s in reversed(range(steps)):
+            sig, g_s, tanh_s = sig_all[s], g_all[s], tanh_c[s]
+            np.multiply(sig, sig, out=d_sig)
+            np.subtract(sig, d_sig, out=d_sig)
+            np.multiply(g_s, d_sig[0], out=local[:, :, 0])
+            if s:
+                np.multiply(cell[s - 1], d_sig[1], out=local[:, :, 1])
+            else:
+                local[:, :, 1] = 0.0
+            np.multiply(g_s, g_s, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(i_all[s], tmp, out=local[:, :, 3])
+            np.multiply(tanh_s, d_sig[2], out=pre_o)
+            np.multiply(tanh_s, tanh_s, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(o_all[s], tmp, out=d_tanh_c)
             np.add(g_h[s], dh_next, out=dh)
-            np.multiply(dh, d_tanh_c[s], out=dc)
+            np.multiply(dh, d_tanh_c, out=dc)
             dc += dc_next
-            da = d_act[s]
-            np.multiply(dc[:, :, None, :], local[s], out=da)
-            np.multiply(dh, pre_o[s], out=da[:, :, 2, :])
+            da = d_act[:, s]
+            np.multiply(dc[:, :, None, :], local, out=da)
+            np.multiply(dh, pre_o, out=da[:, :, 2, :])
             np.matmul(da.reshape(2, batch_size, h4), u_t, out=dh_next)
             np.multiply(dc, f_all[s], out=dc_next)
-        d_act = d_act.reshape(steps, 2, batch_size, h4)
+        d_act = d_act.reshape(2, steps, batch_size, h4)
         if pre.needs_grad:
             d_pre = np.empty((steps, batch_size, 8 * hidden))
-            d_pre[:, :, :h4] = d_act[:, 0]
-            d_pre[:, :, h4:] = d_act[::-1, 1]
+            d_pre[:, :, :h4] = d_act[0]
+            d_pre[:, :, h4:] = d_act[1, ::-1]
             pre.accumulate_grad(d_pre.reshape(steps * batch_size, 8 * hidden), own=True)
         if w_rec.needs_grad:
             # sum over steps s >= 1 of h_{s-1}^T @ da_s (h_{-1} = 0), one GEMM per direction
             h_rows = h_all[:-1].transpose(1, 3, 0, 2).reshape(2, hidden, (steps - 1) * batch_size)
-            d_rows = d_act[1:].transpose(1, 0, 2, 3).reshape(2, (steps - 1) * batch_size, h4)
+            d_rows = d_act[:, 1:].reshape(2, (steps - 1) * batch_size, h4)
             w_rec.accumulate_grad(np.matmul(h_rows, d_rows).reshape(2 * hidden, h4), own=True)
 
     return ad.set_backward(out, backward)

@@ -231,9 +231,10 @@ def train(model: FurcaNet, train_set, dev_set, cfg: TrainConfig, out_dir=None) -
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             loss = batch_loss(model, batch)
             ad.backward(loss)
+            losses.append(float(loss.value))
+            del loss  # frees this step's graph before the next batch_loss builds one
             state.learning_rate = lr
             adam_step(model.params, state)
-            losses.append(float(loss.value))
         dev_loss = -mean_dev_sdr(model, dev_set)
         report.records.append(EpochRecord(
             epoch=epoch,

@@ -112,6 +112,30 @@ class TestBackwardSemantics:
         backward(loss)
         assert np.array_equal(w.grad, 2 * first)
 
+    def test_only_parameters_keep_gradients(self):
+        rng = np.random.default_rng(3)
+        a = parameter(rng.normal(size=(4, 4)))
+        b = parameter(rng.normal(size=(4, 4)))
+        c = parameter(rng.normal(size=4))
+        x = constant(rng.normal(size=(4, 4)))
+        hidden = ad.affine(x, a, c)
+        total = ad.add(a, b)
+        gate = ad.sigmoid(total)
+        joined = ad.concat([hidden, gate], axis=1)
+        left, right = ad.narrow(joined, 1, 0, 4), ad.narrow(joined, 1, 2, 6)
+        product = ad.mul(left, right)
+        loss = ad.mean(product)
+        interior = [hidden, total, gate, joined, left, right, product, loss]
+        backward(loss)
+        assert all(node.grad is None for node in interior)
+        assert x.grad is None
+        assert all(p.grad is not None and p.grad.shape == p.value.shape for p in (a, b, c))
+        first = [p.grad.copy() for p in (a, b, c)]
+        backward(loss)  # the rules survive the release: a second pass adds once more
+        assert all(node.grad is None for node in interior)
+        for p, g in zip((a, b, c), first):
+            assert np.array_equal(p.grad, 2 * g)
+
     def test_non_scalar_loss_rejected(self):
         w = parameter(np.ones(3))
         with pytest.raises(ValueError, match="scalar"):

@@ -313,6 +313,21 @@ class TestLstmSequence:
 
         assert grad_check(f, params) < 1e-4
 
+    def test_repeated_backward_doubles_gradients(self):
+        rng = np.random.default_rng(102)
+        steps, batch, hidden = 9, 3, 4
+        pre = ad.parameter(rng.normal(size=(steps * batch, 8 * hidden)))
+        w_rec = ad.parameter(rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden)))
+        weights = constant(rng.normal(size=(steps * batch, 2 * hidden)))
+        out = ly.lstm_sequence(pre, w_rec, steps, batch)
+        loss = ad.mean(ad.mul(out, weights))
+        backward(loss)
+        first = pre.grad.copy(), w_rec.grad.copy()
+        assert out.grad is None
+        backward(loss)
+        assert np.array_equal(pre.grad, 2 * first[0])
+        assert np.array_equal(w_rec.grad, 2 * first[1])
+
     def test_wrong_pre_shape_rejected(self):
         w_rec = constant(np.zeros((8, 16)))
         with pytest.raises(ValueError, match="pre-activation shape"):

@@ -246,6 +246,14 @@ class TestLoss:
         err = ad.grad_check(lambda p: batch_loss(model, [example]), model.params)
         assert err < 1e-4
 
+    def test_gradient_check_two_length_groups(self):
+        # two BiLSTM graphs (B=2 and B=1) are alive before the one backward,
+        # so buffers shared between lstm_sequence calls would show here
+        model = build(TINY)
+        batch = [random_example(13, n=48), random_example(14, n=40), random_example(15, n=48)]
+        err = ad.grad_check(lambda p: batch_loss(model, batch), model.params)
+        assert err < 1e-4
+
     def test_source_count_mismatch(self):
         model = build(TINY)
         ex = random_example(11)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from furcasep import autodiff as ad
+from furcasep import training
 from furcasep.autodiff import ParamStore, backward
 from furcasep.corpus import MixtureExample
 from furcasep.metrics import pit_assign
@@ -266,3 +268,85 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train(build(TINY), [], toy_examples(1, 17), TrainConfig(max_epochs=1))
+
+
+def script_dev_sdr(monkeypatch, scores):
+    """Make train() see the given dev SDRs, in call order (restart gate first);
+    returns the parameter values each call saw."""
+    scores = iter(scores)
+    seen = []
+
+    def scripted(model, dev_set):
+        seen.append(model.params.flat_values().copy())
+        return next(scores)
+
+    monkeypatch.setattr(training, "mean_dev_sdr", scripted)
+    return seen
+
+
+class TestTrainContract:
+    def test_previous_step_graph_freed_before_next_batch_loss(self, monkeypatch):
+        real = training.batch_loss
+        losses = []
+
+        def tracked(model, batch):
+            assert all(ref() is None for ref in losses), "an earlier step's loss graph is still alive"
+            loss = real(model, batch)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        monkeypatch.setattr(training, "batch_loss", tracked)
+        cfg = TrainConfig(max_epochs=2, batch_size=2, seed=5, restart_threshold_db=-1000.0)
+        train(build(TINY), toy_examples(6, 18), toy_examples(2, 19), cfg)
+        assert len(losses) == 6
+
+    def test_best_epoch_before_last_is_restored(self, monkeypatch):
+        # gate, then epochs 1-3 with dev losses 5, 2, 4: epoch 2 is best
+        seen = script_dev_sdr(monkeypatch, [0.0, -5.0, -2.0, -4.0])
+        cfg = TrainConfig(max_epochs=3, batch_size=2, seed=6, restart_threshold_db=-1000.0)
+        model = build(TINY)
+        report = train(model, toy_examples(6, 20), toy_examples(2, 21), cfg)
+        assert (report.best_epoch, report.best_dev_loss) == (2, 2.0)
+        assert np.array_equal(model.params.flat_values(), seen[2])
+        assert not np.array_equal(seen[2], seen[3])
+
+    def test_epoch_order_follows_seed_and_epoch(self, monkeypatch):
+        real = training.batch_loss
+        batches = []
+
+        def recording(model, batch):
+            batches.append([e.example_id for e in batch])
+            return real(model, batch)
+
+        monkeypatch.setattr(training, "batch_loss", recording)
+        train_set = toy_examples(6, 22)
+        cfg = TrainConfig(max_epochs=2, batch_size=2, seed=7, restart_threshold_db=-1000.0)
+        train(build(TINY), train_set, toy_examples(2, 23), cfg)
+        orders = [np.random.default_rng((7, epoch)).permutation(6) for epoch in (1, 2)]
+        assert not np.array_equal(orders[0], orders[1])
+        want = [[train_set[i].example_id for i in order[k : k + 2]] for order in orders for k in (0, 2, 4)]
+        assert batches == want
+
+    def test_log_values_match_report(self, monkeypatch, tmp_path):
+        # dev losses 5, 2, 4, 3: the rate decays once (after epoch 3), epoch 2 is best
+        script_dev_sdr(monkeypatch, [0.0, -5.0, -2.0, -4.0, -3.0])
+        cfg = TrainConfig(max_epochs=4, batch_size=2, seed=8, restart_threshold_db=-1000.0)
+        report = train(build(dataclasses.replace(TINY, seed=5)), toy_examples(6, 24), toy_examples(2, 25),
+                       cfg, out_dir=tmp_path)
+        lines = [json.loads(line) for line in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+        assert report.init_seed == 5
+        assert [r.learning_rate for r in report.records] == [0.001, 0.001, 0.001, 0.0005]
+        assert report.best_epoch == 2
+        assert lines[0] == {
+            "kind": "train_meta",
+            "restart_attempts": report.restart_attempts,
+            "restart_passed": report.restart_passed,
+            "init_seed": report.init_seed,
+            "init_dev_sdr_db": report.init_dev_sdr_db,
+        }
+        assert lines[1:-1] == [{"kind": "epoch", **dataclasses.asdict(r)} for r in report.records]
+        assert lines[-1] == {
+            "kind": "train_summary",
+            "best_epoch": report.best_epoch,
+            "best_dev_loss": report.best_dev_loss,
+        }
