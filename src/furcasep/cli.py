@@ -136,13 +136,6 @@ def cmd_train(args) -> int:
         model_cfg = dataclasses.replace(model_cfg, seed=args.seed)
     train_set = load_corpus(args.data)
     dev_set = load_corpus(args.dev)
-    for name, examples in (("train", train_set), ("dev", dev_set)):
-        counts = {len(e.sources) for e in examples}
-        if counts != {model_cfg.num_sources}:
-            raise ValueError(
-                f"{name} corpus has source counts {sorted(counts)}, "
-                f"model config expects {model_cfg.num_sources}"
-            )
     model = build(model_cfg)
     report = train(model, train_set, dev_set, train_cfg, out_dir=args.out)
     print(Path(args.out) / "model.ckpt")

@@ -21,9 +21,10 @@ from .signal import Waveform, mix_at_snr, mix_sum, read_wav, write_wav
 GENERATOR_VERSION = "1"
 MIN_F0_SEPARATION_HZ = 20.0
 MIN_PAIR_GAP_HZ = 100.0  # same-example speakers are at least this far apart in f0
+F0_RANGE_HZ = (100.0, 380.0)  # speaker pools spread their fundamentals over this range
 PITCH_DRIFT_FRACTION = 0.03
 AM_DEPTH = 0.3
-DEFAULT_NUM_HARMONICS = 4
+NUM_HARMONICS = 4
 PEAK_NORM = 0.7
 MIX_HEADROOM_PEAK = 0.9
 LOAD_ADDITIVITY_TOL = 2.0 / 32768  # three quantized files in the additivity check
@@ -179,31 +180,25 @@ def synth_speaker(profile: SpeakerProfile, duration_s: float, sample_rate_hz: in
     return Waveform(sig * (PEAK_NORM / peak), sample_rate_hz)
 
 
-def make_speaker_pool(
-    num_speakers: int,
-    seed: int,
-    f0_range: tuple[float, float] = (100.0, 380.0),
-    num_harmonics: int = DEFAULT_NUM_HARMONICS,
-    phase: float = 0.0,
-) -> list[SpeakerProfile]:
-    """Fundamentals on jittered slots at least 20 Hz apart.
+def make_speaker_pool(num_speakers: int, seed: int, phase: float = 0.0) -> list[SpeakerProfile]:
+    """Fundamentals in F0_RANGE_HZ on jittered slots at least 20 Hz apart.
 
     phase shifts every slot by that fraction of the spacing; pools built with
     phase 0.5 interleave with phase-0 pools, giving test splits genuinely
     unseen fundamentals.
     """
-    lo, hi = f0_range
+    lo, hi = F0_RANGE_HZ
     spacing = (hi - lo) / num_speakers
     if spacing < MIN_F0_SEPARATION_HZ:
         raise ValueError(
-            f"cannot fit {num_speakers} speakers with {MIN_F0_SEPARATION_HZ} Hz separation in {f0_range}"
+            f"cannot fit {num_speakers} speakers with {MIN_F0_SEPARATION_HZ} Hz separation in {F0_RANGE_HZ}"
         )
     rng = np.random.default_rng(seed)
     pool = []
     for i in range(num_speakers):
         jitter = rng.uniform(0.0, spacing - MIN_F0_SEPARATION_HZ)
         f0 = lo + (i + phase) * spacing + jitter
-        weights = tuple((1.0 / k) * rng.uniform(0.5, 1.2) for k in range(1, num_harmonics + 1))
+        weights = tuple((1.0 / k) * rng.uniform(0.5, 1.2) for k in range(1, NUM_HARMONICS + 1))
         pool.append(SpeakerProfile(
             fundamental_hz=float(f0),
             harmonic_weights=weights,
@@ -254,7 +249,6 @@ def generate_corpus(
     out_dir,
     sample_rate_hz: int = 8000,
     pool: list[SpeakerProfile] | None = None,
-    min_pair_gap_hz: float = MIN_PAIR_GAP_HZ,
 ) -> Manifest:
     """Generate WAV files plus a manifest binding mixtures to references."""
     if num_examples < 1:
@@ -282,12 +276,12 @@ def generate_corpus(
         for _ in range(200):
             cand = rng.choice(len(pool), size=num_sources, replace=False)
             f0s = sorted(pool[j].fundamental_hz for j in cand)
-            if all(b - a >= min_pair_gap_hz for a, b in zip(f0s, f0s[1:])):
+            if all(b - a >= MIN_PAIR_GAP_HZ for a, b in zip(f0s, f0s[1:])):
                 chosen = cand
                 break
         if chosen is None:
             raise ValueError(
-                f"no speaker set with pairwise f0 gap >= {min_pair_gap_hz} Hz in this pool"
+                f"no speaker set with pairwise f0 gap >= {MIN_PAIR_GAP_HZ} Hz in this pool"
             )
         example = synth_example(
             [pool[j] for j in chosen], snr_db, duration_s, sample_rate_hz, example_seed, example_id

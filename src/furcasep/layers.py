@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, ParamStore
 from .metrics import best_permutation, check_source_count
-from .signal import _overlap_add_padded, overlap_count
+from .signal import _overlap_add_padded, _windows, overlap_count
 
 LOSS_ENERGY_EPS = 1e-8  # denominator guard inside the differentiable SDR
 LAYER_NORM_EPS = 1e-5  # variance guard of layer_norm_rows
@@ -368,8 +368,7 @@ def overlap_add_frames(frames: Node, hop: int, original_len: int) -> Node:
             g_padded = np.zeros(padded)
             g_padded[:original_len] = g
             g_padded /= overlap_count(num, frame_len, hop)
-            windows = np.lib.stride_tricks.sliding_window_view(g_padded, frame_len)[::hop]
-            frames.accumulate_grad(windows.copy(), own=True)
+            frames.accumulate_grad(_windows(g_padded, frame_len, hop), own=True)
 
     return ad.set_backward(out, backward)
 

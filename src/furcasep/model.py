@@ -188,13 +188,10 @@ class FurcaNet:
             outputs.append(per_source)
         return outputs
 
-    def forward_utterance(self, mixture: Waveform) -> list[Node]:
-        return self.forward_batch([mixture])[0]
-
     def separate(self, mixture: Waveform) -> list[Waveform]:
         """Inference: a forward pass under no_grad, returned as waveforms."""
         with ad.no_grad():
-            outs = self.forward_utterance(mixture)
+            outs = self.forward_batch([mixture])[0]
         return [Waveform(o.value.copy(), mixture.sample_rate_hz) for o in outs]
 
 

@@ -130,16 +130,36 @@ def frame(w: Waveform, g: FrameGeometry) -> FrameMatrix:
     num = g.num_frames(n)
     buf = np.zeros((num - 1) * g.hop + g.frame_len)
     buf[:n] = w.samples
-    frames = np.lib.stride_tricks.sliding_window_view(buf, g.frame_len)[:: g.hop].copy()
-    return FrameMatrix(frames, g, n, w.sample_rate_hz)
+    return FrameMatrix(_windows(buf, g.frame_len, g.hop), g, n, w.sample_rate_hz)
+
+
+def _windows(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """The frames of a padded 1-D signal, frame_len samples each and hop apart, as a new array."""
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop].copy()
+
+
+def _overlap_sum(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frames placed hop samples apart over the full padded length.
+
+    Frames are cut into ceil(frame_len/hop) pieces of hop samples; piece j of frame t
+    lands on hop-block t+j, so each piece index is one slab addition. A larger piece
+    index means an earlier frame, so the passes run from the last piece to the first:
+    every sample adds its frames in increasing frame index, the same order as a
+    per-frame loop.
+    """
+    num, frame_len = frames.shape
+    padded = (num - 1) * hop + frame_len
+    pieces = -(-frame_len // hop)
+    out = np.zeros((num - 1 + pieces, hop))  # the last hop-block may run past padded
+    for j in reversed(range(pieces)):
+        width = min(hop, frame_len - j * hop)
+        out[j : j + num, :width] += frames[:, j * hop : j * hop + width]
+    return out.reshape(-1)[:padded]
 
 
 def overlap_count(num_frames: int, frame_len: int, hop: int) -> np.ndarray:
     """How many of num_frames frames, hop apart, cover each sample of the padded signal."""
-    pos = np.arange((num_frames - 1) * hop + frame_len)
-    first = np.maximum(pos - frame_len + hop, 0) // hop  # ceil((pos - frame_len + 1) / hop), clipped at 0
-    last = np.minimum(pos // hop, num_frames - 1)
-    return (last - first + 1).astype(np.float64)
+    return _overlap_sum(np.ones((num_frames, frame_len)), hop)
 
 
 def _overlap_add_padded(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -149,26 +169,20 @@ def _overlap_add_padded(frames: np.ndarray, hop: int) -> np.ndarray:
     When all covering values are identical (frames produced by frame()), the residual sum
     is exactly zero, so the analysis-synthesis identity holds bit-exactly.
 
-    Frames are cut into ceil(frame_len/hop) pieces of hop samples; piece j of frame t
-    lands on hop-block t+j of the output, so each pass over one piece index is a single
-    vectorised slab operation. A larger piece index means an earlier frame, so the
-    residual passes run from the last piece to the first: every sample adds its
-    residuals in increasing frame index, the same order as a per-frame loop.
+    first is laid out with the same hop-piece slabs as _overlap_sum, but assigned rather
+    than added, from the first piece to the last: later pieces come from earlier frames
+    and overwrite. The residuals are then summed by _overlap_sum, in increasing frame
+    index at every sample.
     """
     num, frame_len = frames.shape
     padded = (num - 1) * hop + frame_len
     pieces = -(-frame_len // hop)
-    width = [min(hop, frame_len - j * hop) for j in range(pieces)]
-    blocks = num - 1 + pieces  # hop-blocks of output; the last may run past padded
-    first = np.zeros((blocks, hop))
-    for j in range(pieces):  # later pieces come from earlier frames and overwrite
-        first[j : j + num, : width[j]] = frames[:, j * hop : j * hop + width[j]]
-    resid = np.zeros((blocks, hop))
-    for j in reversed(range(pieces)):
-        block = slice(j, j + num)
-        resid[block, : width[j]] += frames[:, j * hop : j * hop + width[j]] - first[block, : width[j]]
+    first = np.zeros((num - 1 + pieces, hop))
+    for j in range(pieces):
+        width = min(hop, frame_len - j * hop)
+        first[j : j + num, :width] = frames[:, j * hop : j * hop + width]
     first = first.reshape(-1)[:padded]
-    resid = resid.reshape(-1)[:padded]
+    resid = _overlap_sum(frames - _windows(first, frame_len, hop), hop)
     return first + resid / overlap_count(num, frame_len, hop)
 
 

@@ -1,5 +1,9 @@
 """STFT analysis-synthesis on numpy's FFT, and the ideal-ratio-mask oracle separator.
 
+Analysis frames come from signal.frame and synthesis sums frames with
+signal._overlap_sum, the same framing and overlap-sum the network's output
+stage uses.
+
 The oracle applies per-bin magnitude-ratio masks to the mixture spectrogram
 (mixture phase retained) and inverts; it is the upper bound that time-frequency
 masking methods cannot exceed.
@@ -7,11 +11,12 @@ masking methods cannot exceed.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import FrameGeometry, Waveform, frame
+from .signal import FrameGeometry, Waveform, _overlap_sum, frame
 
 DEFAULT_FFT_SIZE = 256  # 32 ms at 8 kHz
 DEFAULT_HOP = 128
@@ -40,12 +45,11 @@ def sqrt_hann_window(n: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class Spectrogram:
-    """Non-negative-frequency STFT bins [num_frames x (fft_size/2 + 1)]."""
+    """Non-negative-frequency STFT bins [num_frames x (fft_size/2 + 1)] of square-root-Hann frames."""
 
     bins: np.ndarray
     fft_size: int
     hop: int
-    window: str
     original_len: int
     sample_rate_hz: int
 
@@ -67,7 +71,7 @@ def stft(w: Waveform, fft_size: int = DEFAULT_FFT_SIZE, hop: int = DEFAULT_HOP) 
     fm = frame(w, FrameGeometry(fft_size, hop))
     windowed = fm.frames * sqrt_hann_window(fft_size)
     spec = fft(windowed)[:, : fft_size // 2 + 1]
-    return Spectrogram(spec, fft_size, hop, "sqrt_hann", len(w), w.sample_rate_hz)
+    return Spectrogram(spec, fft_size, hop, len(w), w.sample_rate_hz)
 
 
 def istft(s: Spectrogram) -> Waveform:
@@ -85,24 +89,6 @@ def istft(s: Spectrogram) -> Waveform:
     norm = _overlap_sum(np.broadcast_to(win * win, frames.shape), s.hop)
     out = acc / np.maximum(norm, 1e-12)
     return Waveform(out[: s.original_len], s.sample_rate_hz)
-
-
-def _overlap_sum(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum frames placed hop samples apart over the full padded length.
-
-    Frames are cut into ceil(frame_len/hop) pieces of hop samples; piece j of frame t
-    lands on hop-block t+j, so each piece index is one slab addition. The passes run
-    from the last piece to the first, so every sample adds its frames in increasing
-    frame index, the same order as a per-frame loop.
-    """
-    num, frame_len = frames.shape
-    padded = (num - 1) * hop + frame_len
-    pieces = -(-frame_len // hop)
-    out = np.zeros((num - 1 + pieces, hop))
-    for j in reversed(range(pieces)):
-        width = min(hop, frame_len - j * hop)
-        out[j : j + num, :width] += frames[:, j * hop : j * hop + width]
-    return out.reshape(-1)[:padded]
 
 
 def irm_masks(sources: list[Waveform], fft_size: int = DEFAULT_FFT_SIZE,
@@ -139,13 +125,5 @@ def irm_separate(
     mix_spec = stft(mixture, fft_size, hop)
     out = []
     for mask in irm_masks(sources, fft_size, hop):
-        masked = Spectrogram(
-            mix_spec.bins * mask,
-            fft_size,
-            hop,
-            mix_spec.window,
-            mix_spec.original_len,
-            mix_spec.sample_rate_hz,
-        )
-        out.append(istft(masked))
+        out.append(istft(dataclasses.replace(mix_spec, bins=mix_spec.bins * mask)))
     return out

@@ -1,6 +1,12 @@
 """Adam on the utterance-SDR loss: the random-restart initialization trick,
 mini-batch training, dev-driven learning-rate halving, and best-dev
-checkpointing. Everything is deterministic given the seeds."""
+checkpointing. Everything is deterministic given the seeds.
+
+Training batches and dev scoring share one grouping, _length_groups:
+equal-length examples go through the network as one forward_batch, lengths
+in first-seen order and examples in set order, and every result maps back
+to its example's position in the set.
+"""
 
 from __future__ import annotations
 
@@ -50,15 +56,16 @@ def desk_train_config(max_epochs: int = 100, seed: int = 0) -> TrainConfig:
     )
 
 
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8  # update denominator guard
+
+
 class AdamState:
     """First/second moment accumulators mirroring a ParamStore, plus the step count."""
 
-    def __init__(self, params: ParamStore, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps_adam: float = 1e-8):
+    def __init__(self, params: ParamStore, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps_adam = eps_adam
         self.step_count = 0
         self.m = {name: np.zeros_like(node.value) for name, node in params.items()}
         self.v = {name: np.zeros_like(node.value) for name, node in params.items()}
@@ -71,21 +78,33 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
             raise ValueError(f"adam_step: parameter '{name}' has no gradient")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, node in params.items():
         g = node.grad
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        node.value -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps_adam)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        node.value -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     params.zero_grad()
 
 
 _EVAL_CHUNK = 16  # forward_batch size during evaluation
+
+
+def _length_groups(examples, chunk_size: int):
+    """Yield lists of positions in examples: equal-length examples, lengths in
+    first-seen order, each length's positions in order, cut into chunks of at
+    most chunk_size."""
+    by_length: dict[int, list[int]] = {}
+    for pos, example in enumerate(examples):
+        by_length.setdefault(len(example.mixture), []).append(pos)
+    for positions in by_length.values():
+        for start in range(0, len(positions), chunk_size):
+            yield positions[start : start + chunk_size]
 
 
 def mean_dev_sdr(model: FurcaNet, dev_set) -> float:
@@ -95,18 +114,13 @@ def mean_dev_sdr(model: FurcaNet, dev_set) -> float:
     """
     if not dev_set:
         raise ValueError("empty dev set")
-    by_length: dict[int, list] = {}
-    for pos, example in enumerate(dev_set):
-        by_length.setdefault(len(example.mixture), []).append((pos, example))
     scores = np.empty(len(dev_set))
-    for group in by_length.values():
-        for start in range(0, len(group), _EVAL_CHUNK):
-            chunk = group[start : start + _EVAL_CHUNK]
-            with ad.no_grad():
-                batched = model.forward_batch([e.mixture for _, e in chunk])
-            for (pos, example), outs in zip(chunk, batched):
-                estimates = [o.value for o in outs]
-                scores[pos] = pit_assign(example.sources, estimates).mean_sdr_db
+    for chunk in _length_groups(dev_set, _EVAL_CHUNK):
+        with ad.no_grad():
+            batched = model.forward_batch([dev_set[pos].mixture for pos in chunk])
+        for pos, outs in zip(chunk, batched):
+            estimates = [o.value for o in outs]
+            scores[pos] = pit_assign(dev_set[pos].sources, estimates).mean_sdr_db
     total = 0.0
     for value in scores:
         total += value
@@ -168,11 +182,9 @@ class TrainReport:
 
 def batch_loss(model: FurcaNet, batch) -> ad.Node:
     """Average of per-utterance losses; equal-length utterances share one batched graph."""
-    by_length: dict[int, list] = {}
-    for example in batch:
-        by_length.setdefault(len(example.mixture), []).append(example)
     loss_nodes = []
-    for group in by_length.values():
+    for chunk in _length_groups(batch, len(batch)):  # one chunk per length
+        group = [batch[pos] for pos in chunk]
         outputs = model.forward_batch([e.mixture for e in group])
         for example, outs in zip(group, outputs):
             loss_nodes.append(ly.usdr_loss([s.samples for s in example.sources], outs))

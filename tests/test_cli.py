@@ -185,7 +185,7 @@ class TestTrainCommand:
         ])
         assert rc != 0
         err = capsys.readouterr().err
-        assert "source counts" in err
+        assert "2 sources, model expects 3" in err
 
     def test_missing_manifest_fails(self, tmp_path, capsys):
         rc = main([
@@ -321,8 +321,9 @@ class TestEvaluateCommand:
     def test_sdri_subtracts_each_targets_mixture_sdr(self, corpus_dir, tiny_checkpoint):
         model = load_checkpoint(tiny_checkpoint)
         examples = load_corpus(corpus_dir / "dev" / "manifest.jsonl")
-        records, _ = evaluate_model(model, examples, with_irm_oracle=True)
+        records, _ = evaluate_model(model, examples[::-1], with_irm_oracle=True)  # records come sorted by id
         for example, record in zip(sorted(examples, key=lambda e: e.example_id), records):
+            assert record["example_id"] == example.example_id
             def sdri(pit):
                 return [
                     pit.per_source_sdr_db[j] - sdr(example.sources[k], example.mixture).sdr_db

@@ -131,7 +131,7 @@ class TestForward:
         model = build(TINY)
         for n in (16, 50, 96, 131):
             mixture = Waveform(np.random.default_rng(n).normal(size=n) * 0.3, 8000)
-            outs = model.forward_utterance(mixture)
+            outs = model.forward_batch([mixture])[0]
             assert len(outs) == TINY.num_sources
             for node in outs:
                 assert node.value.shape == (n,)
@@ -140,20 +140,20 @@ class TestForward:
         model = build(TINY)
         model.params.load_flat_values(np.zeros(model.param_count))
         mixture = Waveform(np.random.default_rng(0).normal(size=64) * 0.3, 8000)
-        for node in model.forward_utterance(mixture):
+        for node in model.forward_batch([mixture])[0]:
             assert np.array_equal(node.value, np.zeros(64))
 
     def test_longer_input_same_parameters(self):
         model = build(TINY)
         before = model.params.flat_values().copy()
-        model.forward_utterance(Waveform(np.random.default_rng(1).normal(size=64) * 0.3, 8000))
-        model.forward_utterance(Waveform(np.random.default_rng(2).normal(size=128) * 0.3, 8000))
+        model.forward_batch([Waveform(np.random.default_rng(1).normal(size=64) * 0.3, 8000)])[0]
+        model.forward_batch([Waveform(np.random.default_rng(2).normal(size=128) * 0.3, 8000)])[0]
         assert np.array_equal(model.params.flat_values(), before)
 
     def test_too_short_input_rejected(self):
         model = build(TINY)
         with pytest.raises(ValueError, match="shorter than frame_len"):
-            model.forward_utterance(Waveform(np.ones(8), 8000))
+            model.forward_batch([Waveform(np.ones(8), 8000)])[0]
 
     def test_batched_matches_single(self):
         model = build(TINY)
@@ -161,7 +161,7 @@ class TestForward:
         mixtures = [Waveform(rng.normal(size=96) * 0.3, 8000) for _ in range(3)]
         batched = model.forward_batch(mixtures)
         for mixture, outs in zip(mixtures, batched):
-            single = model.forward_utterance(mixture)
+            single = model.forward_batch([mixture])[0]
             for got, want in zip(outs, single):
                 assert np.allclose(got.value, want.value, atol=1e-12)
 
@@ -183,7 +183,7 @@ class TestNoGradForward:
     def test_separate_equals_grad_mode_forward(self):
         model = build(TINY)
         mixture = Waveform(np.random.default_rng(52).normal(size=131) * 0.3, 8000)
-        want = model.forward_utterance(mixture)
+        want = model.forward_batch([mixture])[0]
         for est, node in zip(model.separate(mixture), want):
             assert np.array_equal(est.samples, node.value)
 
@@ -200,7 +200,7 @@ class TestNoGradForward:
             finally:
                 tracemalloc.stop()
 
-        grad_peak = peak(lambda: model.forward_utterance(mixture))
+        grad_peak = peak(lambda: model.forward_batch([mixture])[0])
         no_grad_peak = peak(lambda: model.separate(mixture))
         assert no_grad_peak < 0.5 * grad_peak
 

@@ -132,7 +132,7 @@ def random_spectrogram(rng, fft_size, hop, num_frames):
     shape = (num_frames, fft_size // 2 + 1)
     bins = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     padded = (num_frames - 1) * hop + fft_size
-    return Spectrogram(bins, fft_size, hop, "sqrt_hann", padded, 8000)
+    return Spectrogram(bins, fft_size, hop, padded, 8000)
 
 
 class TestIstftVectorised:

@@ -146,16 +146,19 @@ class TestDevCheck:
 
     def test_mean_dev_sdr_equals_grad_mode_scoring(self):
         model = build(TINY)
-        short, long = toy_examples(3, 6, n=64), toy_examples(2, 7, n=96)
-        scores = []
-        for group in (short, long):  # mean_dev_sdr batches equal-length examples
+        short, long = toy_examples(training._EVAL_CHUNK + 2, 6, n=64), toy_examples(3, 7, n=96)
+        dev = list(short)
+        for pos, example in zip((1, 10, 20), long):  # interleaved, one past the chunk boundary
+            dev.insert(pos, example)
+        score = {}
+        # mean_dev_sdr batches equal-length examples, at most _EVAL_CHUNK at a time
+        for group in (short[: training._EVAL_CHUNK], short[training._EVAL_CHUNK :], long):
             batched = model.forward_batch([e.mixture for e in group])
             for example, outs in zip(group, batched):
-                scores.append(pit_assign(example.sources, [o.value for o in outs]).mean_sdr_db)
-        dev = short + long
+                score[id(example)] = pit_assign(example.sources, [o.value for o in outs]).mean_sdr_db
         total = 0.0
-        for value in scores:
-            total += value
+        for example in dev:  # summed in dev-set order
+            total += score[id(example)]
         assert mean_dev_sdr(model, dev) == total / len(dev)
         assert ad.grad_enabled()
 
@@ -186,9 +189,12 @@ class TestBatchLoss:
     def test_mixed_lengths_grouped(self):
         a = toy_examples(2, 4, n=64)
         b = toy_examples(2, 5, n=96)
+        batch = [a[0], b[0], a[1], b[1]]
         model = build(TINY)
-        loss = batch_loss(model, a + b)
+        loss = batch_loss(model, batch)
         assert loss.value.shape == ()
+        per_example = [float(batch_loss(model, [e]).value) for e in batch]
+        assert abs(float(loss.value) - np.mean(per_example)) < 1e-12
 
 
 class TestTrain:
@@ -309,6 +315,15 @@ class TestTrainContract:
         assert (report.best_epoch, report.best_dev_loss) == (2, 2.0)
         assert np.array_equal(model.params.flat_values(), seen[2])
         assert not np.array_equal(seen[2], seen[3])
+
+    def test_best_dev_tie_keeps_earlier_epoch(self, monkeypatch):
+        # gate, then epochs 1-3 with dev losses 5, 2, 2: epoch 3 only ties epoch 2
+        seen = script_dev_sdr(monkeypatch, [0.0, -5.0, -2.0, -2.0])
+        cfg = TrainConfig(max_epochs=3, batch_size=2, seed=6, restart_threshold_db=-1000.0)
+        model = build(TINY)
+        report = train(model, toy_examples(6, 20), toy_examples(2, 21), cfg)
+        assert report.best_epoch == 2
+        assert np.array_equal(model.params.flat_values(), seen[2])
 
     def test_epoch_order_follows_seed_and_epoch(self, monkeypatch):
         real = training.batch_loss
