@@ -50,6 +50,16 @@ MUTANTS = [
      "for pos, example in enumerate(sorted(examples, key=lambda e: len(e.mixture))):", None),
     ("src/furcasep/training.py", "range(0, len(positions), chunk_size)", "range(0, len(positions), chunk_size + 1)",
      None),
+    # the non-finite loss check before backward and Adam
+    ("src/furcasep/training.py", "if not np.isfinite(loss.value):", "if False:", None),
+    # lstm_sequence: BPTT's tanh(c) recomputed from the wrong step, the backward
+    # direction's hidden history off by one step, a projection block without
+    # its bias or with the backward direction's rows left in time order
+    ("src/furcasep/layers.py", "np.tanh(cell[s], out=tanh_s)", "np.tanh(cell[s - 1], out=tanh_s)", None),
+    ("src/furcasep/layers.py", "out_value[:0:-1, :, hidden:]", "out_value[-2::-1, :, hidden:]", None),
+    ("src/furcasep/layers.py", "p += b_v[d * h4 : (d + 1) * h4]", "p += b_v[d * h4 : (d + 1) * h4] if d == 0 else 0.0",
+     None),
+    ("src/furcasep/layers.py", "(1, steps - s0 - n, slice(None, None, -1))", "(1, steps - s0 - n, slice(None))", None),
 ]
 
 

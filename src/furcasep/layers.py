@@ -10,17 +10,22 @@ model loaded from a checkpoint is filled from the file and draws nothing.
 Sequence tensors are time-major: an [T*B x F] matrix stores step t of batch
 element b at row t*B + b. Non-recurrent layers are row-wise and do not care.
 
-The BiLSTM runs both directions in one fused op, lstm_sequence. Its inputs
-stack the two directions side by side: the pre-activation is [T*B x 8H] with
-the forward direction's gate columns first, the recurrent matrix is [2H x 4H]
-with the forward rows on top, and the output is [T*B x 2H], forward hidden
-state first. Within a direction the gate columns are ordered input, forget,
-output, cell candidate (i, f, o, g). Inside the time loop the gates are laid
-out gate-major, [gate, direction, batch, H], so every elementwise op works on
-a contiguous block. The i/f/o weights and inputs are negated once per call,
+The BiLSTM runs both directions in one fused op, lstm_sequence(x, w_in, b,
+w_rec, num_steps, batch_size), from the layer input to the hidden states. Its
+weights stack the two directions: the input weight is [F x 8H] and the bias
+[8H] with the forward direction's gate columns first, the recurrent matrix is
+[2H x 4H] with the forward rows on top, and the output is [T*B x 2H], forward
+hidden state first. Within a direction the gate columns are ordered input,
+forget, output, cell candidate (i, f, o, g). The op projects x @ w_in + b
+LSTM_BLOCK_STEPS steps at a time straight into its gate cache, so no
+[T*B x 8H] pre-activation exists. Inside the time loop the gates are laid out
+gate-major, [gate, direction, batch, H], so every elementwise op works on a
+contiguous block. The i/f/o weights and inputs are negated once per call,
 which is exact, so the sigmoid is exp, +1 and reciprocal with no per-step
-negation. Forward-only passes (ad.no_grad()) keep LSTM_BLOCK_STEPS steps of
-gate, cell and hidden state rather than every step.
+negation. In grad mode only the gates and the cell span every step: tanh(c)
+is recomputed in backpropagation through time and the hidden states are read
+back from the output. Forward-only passes (ad.no_grad()) keep one block of
+every step buffer.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .signal import _overlap_add_padded, _windows, overlap_count
 
 LOSS_ENERGY_EPS = 1e-8  # denominator guard inside the differentiable SDR
 LAYER_NORM_EPS = 1e-5  # variance guard of layer_norm_rows
-LSTM_BLOCK_STEPS = 64  # steps of lstm_sequence state kept under no_grad
+LSTM_BLOCK_STEPS = 64  # steps per lstm_sequence projection block and per one-block state buffer
 
 
 def uniform_init(rng: np.random.Generator, weight: np.ndarray) -> None:
@@ -130,66 +135,77 @@ class LayerNorm:
         return layer_norm_rows(x, self.gain, self.bias)
 
 
-def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> Node:
-    """Bidirectional LSTM over a time-major [T*B x 8H] pre-activation matrix.
+def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, batch_size: int) -> Node:
+    """Bidirectional LSTM from a time-major [T*B x F] input to its hidden states.
 
-    pre already holds x_t @ W_in + b for both directions: columns [0, 4H) feed
-    the forward direction, [4H, 8H) the backward one. w_rec stacks the two
-    [H x 4H] recurrent matrices, forward rows over backward rows. Within each
-    direction the gate columns are input, forget, output, cell candidate.
-    Initial states are zero. The output is [T*B x 2H], forward hidden state
-    then backward hidden state, both at the row's own time.
+    w_in [F x 8H] and b [8H] hold both directions' input projections side by
+    side: columns [0, 4H) feed the forward direction, [4H, 8H) the backward
+    one. w_rec stacks the two [H x 4H] recurrent matrices, forward rows over
+    backward rows. Within each direction the gate columns are input, forget,
+    output, cell candidate. Initial states are zero. The output is
+    [T*B x 2H], forward hidden state then backward hidden state, both at the
+    row's own time.
 
     Both directions advance in one loop over steps s: the forward direction
-    reads time s, the backward direction time T-1-s. The step works in a
+    reads time s, the backward direction time T-1-s. The pre-activation
+    x @ w_in + b is projected LSTM_BLOCK_STEPS steps at a time, per direction:
+    the block's rows of x in time order, one GEMM with that direction's
+    column half of w_in and the bias add, the same products affine makes, then
+    written into the gate cache in step order (time-reversed for the backward
+    direction). No full-size pre-activation is made. The step works in a
     gate-major buffer [gate, direction, batch, H], so the i/f/o slab and each
     gate are contiguous blocks. The recurrent product writes into that layout
     as one [2,B,H] @ [4,2,H,H] matmul, with the weights laid out once per call.
-    The i/f/o columns of the weights and of the time-aligned input are negated
-    up front, which is exact, so the sigmoid needs no per-step negation. The
-    time-aligned input is built LSTM_BLOCK_STEPS steps at a time under
-    ad.no_grad(), and the step state (gates, cell, hidden) is kept for one
-    block only; in grad mode it is built once into the full per-step cache
-    that backpropagation through time reads. No full-size copy of pre is made.
+    The i/f/o columns of the weights and of the projected input are negated,
+    which is exact, so the sigmoid needs no per-step negation.
 
-    Backward is hand-rolled BPTT over those caches. Each step's gate-derivative
-    factors are formed inside the reverse loop in small scratch buffers that
-    belong to the one backward call, so no full-length factor array is built.
-    The gate gradients land in a direction-major [direction, step, batch, 4H]
-    array. The dh recurrence and the recurrent weight gradient are single
-    4H-wide GEMMs per direction; the latter runs after the loop and reads
-    each direction's steps as contiguous rows.
+    Cache policy: in grad mode the gate cache (projected input, then the
+    post-activation gates) and the cell state span every step; with the
+    output, they are all that backpropagation through time keeps. tanh(c) and
+    the hidden state live in one-block buffers, and under ad.no_grad() so do
+    the gates and the cell.
+
+    Backward is hand-rolled BPTT over those caches. It recomputes tanh(c_s)
+    from the cell cache, and forms each step's gate-derivative factors in the
+    reverse loop in small scratch buffers that belong to the one backward
+    call. The gate gradients land in a direction-major [direction, step,
+    batch, 4H] array and are laid out once as the [T*B x 8H] pre-activation
+    gradient, from which x, w_in and b get affine's three products. The dh
+    recurrence and the recurrent weight gradient are single 4H-wide GEMMs per
+    direction; the latter runs after the loop and reads h_{s-1} from the
+    output (time-reversed for the backward direction).
     """
-    if pre.value.ndim != 2 or w_rec.value.ndim != 2:
+    xv, w_in_v, b_v, w_rec_v = x.value, w_in.value, b.value, w_rec.value
+    if xv.ndim != 2 or w_in_v.ndim != 2 or w_rec_v.ndim != 2:
         raise ValueError(
-            f"lstm_sequence: pre-activation {pre.value.shape} and recurrent matrix {w_rec.value.shape} must be 2-D"
+            f"lstm_sequence: input {xv.shape}, input weight {w_in_v.shape} and recurrent matrix "
+            f"{w_rec_v.shape} must be 2-D"
         )
     if num_steps < 1 or batch_size < 1:
         raise ValueError(f"lstm_sequence: num_steps {num_steps} and batch_size {batch_size} must be >= 1")
-    hidden = w_rec.value.shape[1] // 4
-    if w_rec.value.shape != (2 * hidden, 4 * hidden) or hidden == 0:
-        raise ValueError(f"lstm_sequence: recurrent matrix shape {w_rec.value.shape} != (2H, 4H)")
-    if pre.value.shape != (num_steps * batch_size, 8 * hidden):
+    hidden = w_rec_v.shape[1] // 4
+    if w_rec_v.shape != (2 * hidden, 4 * hidden) or hidden == 0:
+        raise ValueError(f"lstm_sequence: recurrent matrix shape {w_rec_v.shape} != (2H, 4H)")
+    rows = num_steps * batch_size
+    if xv.shape[0] != rows or w_in_v.shape != (xv.shape[1], 8 * hidden) or b_v.shape != (8 * hidden,):
         raise ValueError(
-            f"lstm_sequence: pre-activation shape {pre.value.shape} != ({num_steps * batch_size}, {8 * hidden})"
+            f"lstm_sequence: pre-activation shape: {xv.shape} @ {w_in_v.shape} + {b_v.shape} "
+            f"does not make ({rows}, {8 * hidden})"
         )
     steps, h4 = num_steps, 4 * hidden
-    # time-aligned input, [step, batch, gate, H] per direction; the backward
-    # direction's step s reads time T-1-s
-    x_pre = pre.value.reshape(steps, batch_size, 2, 4, hidden)
-    x_fwd = x_pre[:, :, 0].transpose(0, 2, 1, 3)
-    x_bwd = x_pre[::-1, :, 1].transpose(0, 2, 1, 3)
-    u = w_rec.value.reshape(2, hidden, h4)
+    u = w_rec_v.reshape(2, hidden, h4)
     u_gate = u.reshape(2, hidden, 4, hidden).transpose(2, 0, 1, 3).copy()  # [gate, direction, H, H]
     u_gate[:3] *= -1.0
-    # step-major caches [step, gate, direction, batch, H]; in grad mode they
-    # span every step, under no_grad one block that the loop refills
-    block = steps if ad.grad_enabled() else min(steps, LSTM_BLOCK_STEPS)
-    act = np.empty((block, 4, 2, batch_size, hidden))  # time-aligned input, then post-activation gates
-    cell = np.empty((block, 2, batch_size, hidden))
-    tanh_c = np.empty_like(cell)
-    h_all = np.empty_like(cell)
-    sig_all, i_all, f_all, o_all, g_all = act[:, :3], act[:, 0], act[:, 1], act[:, 2], act[:, 3]
+    block = min(steps, LSTM_BLOCK_STEPS)
+    # step-major caches [step, gate, direction, batch, H]; the gates and the
+    # cell span every step in grad mode, the rest holds one block that the
+    # loop refills
+    span = steps if ad.grad_enabled() else block
+    act = np.empty((span, 4, 2, batch_size, hidden))  # projected input, then post-activation gates
+    cell = np.empty((span, 2, batch_size, hidden))
+    tanh_c = np.empty((block, 2, batch_size, hidden))
+    h_block = np.empty_like(tanh_c)
+    proj = np.empty((block * batch_size, h4))
     rec = np.empty((4, 2, batch_size, hidden))
     tmp = np.empty((2, batch_size, hidden))
     h = np.zeros((2, batch_size, hidden))
@@ -200,12 +216,19 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
     with np.errstate(over="ignore"):  # exp overflow saturates the sigmoid to 0, which is exact
         for s0 in range(0, steps, block):
             n = min(block, steps - s0)
-            np.negative(x_fwd[s0 : s0 + n, :3], out=act[:n, :3, 0])
-            np.negative(x_bwd[s0 : s0 + n, :3], out=act[:n, :3, 1])
-            act[:n, 3, 0] = x_fwd[s0 : s0 + n, 3]
-            act[:n, 3, 1] = x_bwd[s0 : s0 + n, 3]
+            k = s0 % span  # the block's first cache row: s0 if the caches span every step, else 0
+            act_k = act[k : k + n]
+            # (direction, first time of the block's rows of x, their order in steps)
+            for d, t0, order in ((0, s0, slice(None)), (1, steps - s0 - n, slice(None, None, -1))):
+                p = proj[: n * batch_size]
+                np.matmul(xv[t0 * batch_size : (t0 + n) * batch_size], w_in_v[:, d * h4 : (d + 1) * h4], out=p)
+                p += b_v[d * h4 : (d + 1) * h4]
+                p = p.reshape(n, batch_size, 4, hidden)[order].transpose(0, 2, 1, 3)
+                np.negative(p[:, :3], out=act_k[:, :3, d])
+                act_k[:, 3, d] = p[:, 3]
             for a, sig, i, f, o, g, c_k, tanh_k, h_k in zip(
-                act[:n], sig_all[:n], i_all[:n], f_all[:n], o_all[:n], g_all[:n], cell[:n], tanh_c[:n], h_all[:n]
+                act_k, act_k[:, :3], act_k[:, 0], act_k[:, 1], act_k[:, 2], act_k[:, 3], cell[k : k + n],
+                tanh_c[:n], h_block[:n]
             ):
                 np.matmul(h, u_gate, out=rec)
                 a += rec
@@ -217,13 +240,14 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
                 np.tanh(c_k, out=tanh_k)
                 np.multiply(o, tanh_k, out=h_k)
                 c, h = c_k, h_k
-            out_fwd[s0 : s0 + n] = h_all[:n, 0]
-            out_bwd[s0 : s0 + n] = h_all[:n, 1]
-    out = Node(out_value.reshape(steps * batch_size, 2 * hidden), (pre, w_rec), "lstm_sequence")
+            out_fwd[s0 : s0 + n] = h_block[:n, 0]
+            out_bwd[s0 : s0 + n] = h_block[:n, 1]
+    out = Node(out_value.reshape(steps * batch_size, 2 * hidden), (x, w_in, b, w_rec), "lstm_sequence")
 
     def backward(g):
+        sig_all, i_all, f_all, o_all, g_all = act[:, :3], act[:, 0], act[:, 1], act[:, 2], act[:, 3]
         g_out = g.reshape(steps, batch_size, 2 * hidden)
-        g_h = np.empty_like(h_all)
+        g_h = np.empty((steps, 2, batch_size, hidden))
         g_h[:, 0] = g_out[:, :, :hidden]
         g_h[:, 1] = g_out[::-1, :, hidden:]
         # direction-major [direction, step, batch, gate, H]: each direction's
@@ -236,6 +260,7 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
         # product), and the forget slot is zero at step 0 (c_prev = 0)
         local = np.zeros((2, batch_size, 4, hidden))
         pre_o = np.empty((2, batch_size, hidden))
+        tanh_s = np.empty_like(pre_o)
         d_tanh_c = np.empty_like(pre_o)
         tmp = np.empty_like(pre_o)
         u_t = u.transpose(0, 2, 1).copy()
@@ -244,7 +269,8 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
         dh_next = np.zeros_like(pre_o)
         dc_next = np.zeros_like(pre_o)
         for s in reversed(range(steps)):
-            sig, g_s, tanh_s = sig_all[s], g_all[s], tanh_c[s]
+            sig, g_s = sig_all[s], g_all[s]
+            np.tanh(cell[s], out=tanh_s)
             np.multiply(sig, sig, out=d_sig)
             np.subtract(sig, d_sig, out=d_sig)
             np.multiply(g_s, d_sig[0], out=local[:, :, 0])
@@ -268,15 +294,26 @@ def lstm_sequence(pre: Node, w_rec: Node, num_steps: int, batch_size: int) -> No
             np.matmul(da.reshape(2, batch_size, h4), u_t, out=dh_next)
             np.multiply(dc, f_all[s], out=dc_next)
         d_act = d_act.reshape(2, steps, batch_size, h4)
-        if pre.needs_grad:
+        if x.needs_grad or w_in.needs_grad or b.needs_grad:
             d_pre = np.empty((steps, batch_size, 8 * hidden))
             d_pre[:, :, :h4] = d_act[0]
             d_pre[:, :, h4:] = d_act[1, ::-1]
-            pre.accumulate_grad(d_pre.reshape(steps * batch_size, 8 * hidden), own=True)
+            d_pre = d_pre.reshape(steps * batch_size, 8 * hidden)
+            if x.needs_grad:
+                x.accumulate_grad(d_pre @ w_in_v.T, own=True)
+            if w_in.needs_grad:
+                w_in.accumulate_grad(xv.T @ d_pre, own=True)
+            if b.needs_grad:
+                b.accumulate_grad(d_pre.sum(axis=0), own=True)
         if w_rec.needs_grad:
-            # sum over steps s >= 1 of h_{s-1}^T @ da_s (h_{-1} = 0), one GEMM per direction
-            h_rows = h_all[:-1].transpose(1, 3, 0, 2).reshape(2, hidden, (steps - 1) * batch_size)
+            # sum over steps s >= 1 of h_{s-1}^T @ da_s (h_{-1} = 0), one GEMM
+            # per direction; h_{s-1} is the output at time s-1 (forward
+            # direction) or T-s (backward direction)
+            h_rows = np.empty((2, hidden, steps - 1, batch_size))
+            h_rows[0] = out_value[:-1, :, :hidden].transpose(2, 0, 1)
+            h_rows[1] = out_value[:0:-1, :, hidden:].transpose(2, 0, 1)
             d_rows = d_act[:, 1:].reshape(2, (steps - 1) * batch_size, h4)
+            h_rows = h_rows.reshape(2, hidden, (steps - 1) * batch_size)
             w_rec.accumulate_grad(np.matmul(h_rows, d_rows).reshape(2 * hidden, h4), own=True)
 
     return ad.set_backward(out, backward)
@@ -289,9 +326,12 @@ class BiLstmLayer:
     Parameters are kept per direction (fwd.w_in [in x 4H], fwd.w_rec [H x 4H],
     fwd.b [4H], then the same for bwd; gate columns i, f, o, g), which is the
     checkpoint layout. Each forward call stacks them into the fused layout of
-    lstm_sequence: w_in side by side, b end to end, w_rec forward rows over
-    backward rows. reset(rng) sets the forget-gate bias columns to 1.0 and
-    draws the weights by the uniform fan-in rule.
+    lstm_sequence (three concat nodes: w_in side by side, b end to end, w_rec
+    forward rows over backward rows) and makes one lstm_sequence call on the
+    layer input, which projects it inside the op; the graph keeps the output,
+    the gates and the cell, not a pre-activation. reset(rng) sets the
+    forget-gate bias columns to 1.0 and draws the weights by the uniform
+    fan-in rule.
     """
 
     DIRECTIONS = ("fwd", "bwd")
@@ -326,7 +366,7 @@ class BiLstmLayer:
         w_in = ad.concat([self.w_in[d] for d in self.DIRECTIONS], axis=1)
         b = ad.concat([self.b[d] for d in self.DIRECTIONS], axis=0)
         w_rec = ad.concat([self.w_rec[d] for d in self.DIRECTIONS], axis=0)
-        return lstm_sequence(ad.affine(x, w_in, b), w_rec, num_steps, batch_size)
+        return lstm_sequence(x, w_in, b, w_rec, num_steps, batch_size)
 
 
 class DenseLayer:

@@ -95,7 +95,9 @@ def best_permutation(matrix) -> tuple[tuple[int, ...], float]:
     Returns the permutation (output j against target perm[j]) that maximizes the
     mean score, and that mean. Each mean is a left-to-right sum over outputs
     divided by S; a later permutation must beat the best so far strictly, so
-    ties go to the lexicographically smallest permutation.
+    ties go to the lexicographically smallest permutation. The first
+    permutation is taken without a comparison, so scores that are all NaN or
+    -inf still give a permutation, with a NaN or -inf mean.
     """
     n = len(matrix)
     check_source_count("best_permutation", n, n)
@@ -103,7 +105,7 @@ def best_permutation(matrix) -> tuple[tuple[int, ...], float]:
     best_mean = -np.inf
     for perm in itertools.permutations(range(n)):
         mean = sum(matrix[perm[j]][j] for j in range(n)) / n
-        if mean > best_mean:
+        if best_perm is None or mean > best_mean:
             best_mean = mean
             best_perm = perm
     return best_perm, best_mean

@@ -197,6 +197,8 @@ def batch_loss(model: FurcaNet, batch) -> ad.Node:
 def train(model: FurcaNet, train_set, dev_set, cfg: TrainConfig, out_dir=None) -> TrainReport:
     """Restart until the init gate passes, then Adam with dev-driven LR halving.
 
+    A non-finite training loss raises FloatingPointError, naming the epoch
+    and the step (from 1), before that step's backward pass and Adam update.
     The best-dev parameters are restored into the model at the end. With
     out_dir set, a checkpoint (model.ckpt) and a JSONL log (train_log.jsonl)
     are written there.
@@ -239,9 +241,11 @@ def train(model: FurcaNet, train_set, dev_set, cfg: TrainConfig, out_dir=None) -
         t0 = time.perf_counter()
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_set))
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             loss = batch_loss(model, batch)
+            if not np.isfinite(loss.value):  # an Adam step on it would poison every parameter and moment
+                raise FloatingPointError(f"train: non-finite loss {float(loss.value)} at epoch {epoch}, step {step}")
             ad.backward(loss)
             losses.append(float(loss.value))
             del loss  # frees this step's graph before the next batch_loss builds one

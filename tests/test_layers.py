@@ -242,9 +242,18 @@ class TestBiLstm:
 
 
 BLOCK = ly.LSTM_BLOCK_STEPS
-# lengths around the no_grad block boundary: short, one before, on, one after
-# a boundary, and several blocks later
+# lengths around the block boundary: short, one before, on, one after a
+# boundary, and several blocks later
 LSTM_STEPS = [1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def lstm_inputs(rng, steps, batch, hidden, features=3):
+    """Random lstm_sequence operands: x [T*B x F], w_in [F x 8H], b [8H], w_rec [2H x 4H]."""
+    x = rng.normal(size=(steps * batch, features))
+    w_in = rng.normal(size=(features, 8 * hidden))
+    b = rng.normal(size=8 * hidden)
+    w_rec = rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden))
+    return x, w_in, b, w_rec
 
 
 class TestLstmSequence:
@@ -253,105 +262,141 @@ class TestLstmSequence:
     def test_matches_two_unidirectional_loops(self, steps, batch):
         rng = np.random.default_rng(100 + 10 * steps + batch)
         hidden = 4
-        pre = rng.normal(size=(steps * batch, 8 * hidden))
-        w_rec = rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden))
-        got = ly.lstm_sequence(constant(pre), constant(w_rec), steps, batch).value
+        x, w_in, b, w_rec = lstm_inputs(rng, steps, batch, hidden)
+        got = ly.lstm_sequence(constant(x), constant(w_in), constant(b), constant(w_rec), steps, batch).value
         assert got.shape == (steps * batch, 2 * hidden)
-        assert np.max(np.abs(got - naive_bilstm(pre, w_rec, steps, batch))) < 1e-12
+        assert np.max(np.abs(got - naive_bilstm(x @ w_in + b, w_rec, steps, batch))) < 1e-12
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("steps", LSTM_STEPS)
     def test_no_grad_bit_identical_and_detached(self, steps, batch):
         rng = np.random.default_rng(200 + 10 * steps + batch)
-        hidden = 4
-        pre = ad.parameter(rng.normal(size=(steps * batch, 8 * hidden)))
-        w_rec = ad.parameter(rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden)))
-        want = ly.lstm_sequence(pre, w_rec, steps, batch)
+        operands = [ad.parameter(v) for v in lstm_inputs(rng, steps, batch, 4)]
+        want = ly.lstm_sequence(*operands, steps, batch)
         with ad.no_grad():
-            got = ly.lstm_sequence(pre, w_rec, steps, batch)
+            got = ly.lstm_sequence(*operands, steps, batch)
         assert np.array_equal(got.value, want.value)
         assert got.parents == () and got._backward is None
-        assert want.parents == (pre, w_rec)
+        assert want.parents == tuple(operands)
 
     def test_desk_shape(self):
-        steps, batch, hidden = 199, 8, 64
+        steps, batch, features, hidden = 199, 8, 32, 64
         rng = np.random.default_rng(300)
-        pre = constant(rng.normal(size=(steps * batch, 8 * hidden)))
+        x = constant(rng.normal(size=(steps * batch, features)))
+        w_in = constant(rng.uniform(-0.5, 0.5, size=(features, 8 * hidden)))
+        b = constant(rng.normal(size=8 * hidden))
         w_rec = constant(rng.uniform(-0.125, 0.125, size=(2 * hidden, 4 * hidden)))
-        want = ly.lstm_sequence(pre, w_rec, steps, batch).value
-        assert np.max(np.abs(want - naive_bilstm(pre.value, w_rec.value, steps, batch))) < 1e-12
+        want = ly.lstm_sequence(x, w_in, b, w_rec, steps, batch).value
+        pre = x.value @ w_in.value + b.value
+        assert np.max(np.abs(want - naive_bilstm(pre, w_rec.value, steps, batch))) < 1e-12
         with ad.no_grad():
-            assert np.array_equal(ly.lstm_sequence(pre, w_rec, steps, batch).value, want)
+            assert np.array_equal(ly.lstm_sequence(x, w_in, b, w_rec, steps, batch).value, want)
 
     def test_no_grad_memory_bounded(self):
-        # under no_grad the kernel keeps one block of step state and makes no
-        # full-size copy of pre: beyond its output it allocates less than a
-        # quarter of pre's bytes (one full [T x 2H] hidden-state cache alone
-        # would be that quarter)
-        steps, hidden = 3199, 64
+        # under no_grad the kernel keeps one block of step state and never
+        # makes the [T x 8H] pre-activation: beyond its output it allocates
+        # less than a quarter of that pre-activation's bytes (one full
+        # [T x 2H] hidden-state cache alone would be that quarter)
+        steps, features, hidden = 3199, 32, 64
         rng = np.random.default_rng(301)
-        pre = constant(rng.normal(size=(steps, 8 * hidden)))
+        x = constant(rng.normal(size=(steps, features)))
+        w_in = constant(rng.uniform(-0.25, 0.25, size=(features, 8 * hidden)))
+        b = constant(rng.normal(size=8 * hidden))
         w_rec = constant(rng.uniform(-0.125, 0.125, size=(2 * hidden, 4 * hidden)))
+        pre_bytes = steps * 8 * hidden * 8
         tracemalloc.start()
         try:
             with ad.no_grad():
-                out = ly.lstm_sequence(pre, w_rec, steps, 1)
+                out = ly.lstm_sequence(x, w_in, b, w_rec, steps, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.value.nbytes < pre.value.nbytes / 4
+        assert peak - out.value.nbytes < pre_bytes / 4
+
+    def test_grad_mode_keeps_gates_and_cell_only(self):
+        # with the output node alive, a grad-mode BiLSTM layer keeps its
+        # output, the [T x 8H] gate cache and the [T x 2H] cell cache; the
+        # one-block buffers (tanh(c), hidden state, projection) are the slack,
+        # and they cover the stacked weights. Keeping the pre-activation, or
+        # full tanh(c) and hidden caches, would exceed it.
+        steps, batch, features, hidden = 3 * BLOCK + 5, 2, 8, 16
+        params = ParamStore()
+        layer = ly.BiLstmLayer(params, "lstm", features, hidden)
+        layer.reset(np.random.default_rng(302))
+        x = constant(np.random.default_rng(303).normal(size=(steps * batch, features)))
+        tracemalloc.start()
+        try:
+            out = layer.forward(x, batch_size=batch)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        gates = steps * batch * 8 * hidden * 8
+        cell = steps * batch * 2 * hidden * 8
+        one_block = BLOCK * batch * (2 * hidden + 2 * hidden + 4 * hidden) * 8
+        assert out.value.nbytes == cell
+        assert kept <= out.value.nbytes + gates + cell + one_block
 
     def test_gradients(self):
         rng = np.random.default_rng(101)
         params = ParamStore()
-        params.add("pre", rng.normal(size=(4 * 2, 8 * 3)))
-        params.add("w_rec", rng.normal(scale=0.5, size=(2 * 3, 4 * 3)))
+        for name, value in zip(("x", "w_in", "b", "w_rec"), lstm_inputs(rng, 4, 2, 3)):
+            params.add(name, value)
         weights = constant(rng.normal(size=(4 * 2, 2 * 3)))
 
         def f(p):
-            return ad.mean(ad.mul(ly.lstm_sequence(p["pre"], p["w_rec"], 4, 2), weights))
+            out = ly.lstm_sequence(p["x"], p["w_in"], p["b"], p["w_rec"], 4, 2)
+            return ad.mean(ad.mul(out, weights))
 
         assert grad_check(f, params) < 1e-4
 
     def test_repeated_backward_doubles_gradients(self):
         rng = np.random.default_rng(102)
         steps, batch, hidden = 9, 3, 4
-        pre = ad.parameter(rng.normal(size=(steps * batch, 8 * hidden)))
-        w_rec = ad.parameter(rng.normal(scale=0.5, size=(2 * hidden, 4 * hidden)))
+        operands = [ad.parameter(v) for v in lstm_inputs(rng, steps, batch, hidden)]
         weights = constant(rng.normal(size=(steps * batch, 2 * hidden)))
-        out = ly.lstm_sequence(pre, w_rec, steps, batch)
+        out = ly.lstm_sequence(*operands, steps, batch)
         loss = ad.mean(ad.mul(out, weights))
         backward(loss)
-        first = pre.grad.copy(), w_rec.grad.copy()
+        first = [node.grad.copy() for node in operands]
         assert out.grad is None
         backward(loss)
-        assert np.array_equal(pre.grad, 2 * first[0])
-        assert np.array_equal(w_rec.grad, 2 * first[1])
+        for node, grad in zip(operands, first):
+            assert np.array_equal(node.grad, 2 * grad)
 
     def test_wrong_pre_shape_rejected(self):
-        w_rec = constant(np.zeros((8, 16)))
-        with pytest.raises(ValueError, match="pre-activation shape"):
-            ly.lstm_sequence(constant(np.zeros((6, 16))), w_rec, 3, 2)  # one direction's columns only
-        with pytest.raises(ValueError, match="pre-activation shape"):
-            ly.lstm_sequence(constant(np.zeros((5, 32))), w_rec, 3, 2)
+        # operands whose projection x @ w_in + b is not [T*B x 8H]
+        x, w_in, b, w_rec = (constant(v) for v in lstm_inputs(np.random.default_rng(103), 3, 2, 4))
+        bad = [
+            (constant(np.zeros((5, 3))), w_in, b),  # rows != T*B
+            (x, constant(w_in.value[:, :16]), b),  # one direction's columns only
+            (x, constant(np.zeros((4, 32))), b),  # w_in rows != input features
+            (x, w_in, constant(np.zeros(16))),  # one direction's bias only
+        ]
+        for xi, wi, bi in bad:
+            with pytest.raises(ValueError, match="pre-activation shape"):
+                ly.lstm_sequence(xi, wi, bi, w_rec, 3, 2)
 
     def test_wrong_w_rec_shape_rejected(self):
-        pre = constant(np.zeros((6, 32)))
+        x, w_in, b, _ = (constant(v) for v in lstm_inputs(np.random.default_rng(104), 3, 2, 4))
         with pytest.raises(ValueError, match="recurrent matrix shape"):
-            ly.lstm_sequence(pre, constant(np.zeros((4, 16))), 3, 2)  # one direction's rows only
+            ly.lstm_sequence(x, w_in, b, constant(np.zeros((4, 16))), 3, 2)  # one direction's rows only
         with pytest.raises(ValueError, match="recurrent matrix shape"):
-            ly.lstm_sequence(pre, constant(np.zeros((8, 8))), 3, 2)
+            ly.lstm_sequence(x, w_in, b, constant(np.zeros((8, 8))), 3, 2)
 
     def test_non_matrix_inputs_rejected(self):
+        x, w_in, b, w_rec = (constant(v) for v in lstm_inputs(np.random.default_rng(105), 3, 2, 4))
         with pytest.raises(ValueError, match="must be 2-D"):
-            ly.lstm_sequence(constant(np.zeros((6, 32))), constant(np.zeros(16)), 3, 2)
+            ly.lstm_sequence(x, w_in, b, constant(np.zeros(16)), 3, 2)
         with pytest.raises(ValueError, match="must be 2-D"):
-            ly.lstm_sequence(constant(np.zeros((3, 2, 32))), constant(np.zeros((8, 16))), 3, 2)
+            ly.lstm_sequence(constant(np.zeros((3, 2, 3))), w_in, b, w_rec, 3, 2)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            ly.lstm_sequence(x, constant(np.zeros(32)), b, w_rec, 3, 2)
 
     @pytest.mark.parametrize("steps, batch", [(0, 2), (3, 0), (-1, 2)])
     def test_empty_steps_or_batch_rejected(self, steps, batch):
         with pytest.raises(ValueError, match="must be >= 1"):
-            ly.lstm_sequence(constant(np.zeros((0, 32))), constant(np.zeros((8, 16))), steps, batch)
+            ly.lstm_sequence(constant(np.zeros((0, 3))), constant(np.zeros((3, 32))), constant(np.zeros(32)),
+                             constant(np.zeros((8, 16))), steps, batch)
 
 
 class TestDense:

@@ -170,6 +170,12 @@ class TestBestPermutation:
         matrix = [[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]]
         assert best_permutation(matrix)[1] == (0.1 + 0.2 + 0.3) / 3
 
+    def test_non_finite_scores_still_give_a_permutation(self):
+        # a NaN mixture scores NaN everywhere; the loss must come out NaN, not fail to pick
+        perm, mean = best_permutation([[np.nan, np.nan], [np.nan, np.nan]])
+        assert perm == (0, 1) and np.isnan(mean)
+        assert best_permutation([[-np.inf, -np.inf], [-np.inf, -np.inf]]) == ((0, 1), -np.inf)
+
     def test_source_count_guarded(self):
         with pytest.raises(ValueError, match="at least 2"):
             best_permutation([[1.0]])

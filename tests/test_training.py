@@ -342,6 +342,23 @@ class TestTrainContract:
         want = [[train_set[i].example_id for i in order[k : k + 2]] for order in orders for k in (0, 2, 4)]
         assert batches == want
 
+    def test_non_finite_loss_raises_before_any_update(self):
+        # one NaN sample in one training mixture makes the first step's loss
+        # NaN; train() stops there, naming the epoch and step, and Adam never
+        # touches the parameters of the gate's chosen initialisation
+        train_set = toy_examples(4, 26)
+        bad = train_set[2]
+        samples = bad.mixture.samples.copy()
+        samples[10] = np.nan
+        train_set[2] = dataclasses.replace(bad, mixture=Waveform(samples, bad.mixture.sample_rate_hz))
+        cfg = TrainConfig(max_epochs=2, batch_size=4, seed=9, restart_threshold_db=-1000.0)
+        model = build(TINY)
+        init = model.params.flat_values().copy()
+        with pytest.raises(FloatingPointError, match="epoch 1, step 1"):
+            train(model, train_set, toy_examples(2, 27), cfg)
+        assert np.array_equal(model.params.flat_values(), init)
+        assert all(node.grad is None for node in model.params.nodes())
+
     def test_log_values_match_report(self, monkeypatch, tmp_path):
         # dev losses 5, 2, 4, 3: the rate decays once (after epoch 3), epoch 2 is best
         script_dev_sdr(monkeypatch, [0.0, -5.0, -2.0, -4.0, -3.0])
