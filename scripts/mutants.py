@@ -60,6 +60,14 @@ MUTANTS = [
     ("src/furcasep/layers.py", "p += b_v[d * h4 : (d + 1) * h4]", "p += b_v[d * h4 : (d + 1) * h4] if d == 0 else 0.0",
      None),
     ("src/furcasep/layers.py", "(1, steps - s0 - n, slice(None, None, -1))", "(1, steps - s0 - n, slice(None))", None),
+    # gather_rows' gradient routed one row off; a forward-only pass keeping the
+    # frame matrix, or the last hidden layer, alive through the output stage
+    ("src/furcasep/autodiff.py", "a.grad[start::step] += g", "a.grad[start + 1::step] += g", None),
+    ("src/furcasep/model.py", "h = ad.constant(np.stack(", "h = frames = ad.constant(np.stack(", None),
+    ("src/furcasep/model.py", "del h  # the head has read", "pass  # the head has read", None),
+    # non-finite samples written to a WAV, and NaN written into line-delimited JSON
+    ("src/furcasep/signal.py", "if not np.isfinite(s).all():", "if False:", None),
+    ("src/furcasep/corpus.py", "json.dumps(row, allow_nan=False)", "json.dumps(row)", None),
 ]
 
 

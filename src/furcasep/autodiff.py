@@ -328,30 +328,23 @@ def mul_scalar(a: Node, c: float) -> Node:
     return set_backward(out, backward)
 
 
-def gather_rows(a: Node, indices) -> Node:
-    """Select rows of a 2-D tensor by index; duplicate indices accumulate in backward."""
+def gather_rows(a: Node, start: int, step: int) -> Node:
+    """Rows start, start + step, ... of a 2-D tensor, as a view that copies nothing.
+
+    Backward adds the output gradient into rows start::step of a's gradient
+    and leaves every other row as it was.
+    """
     if a.value.ndim != 2:
         raise ValueError(f"gather_rows: 2-D input required, got shape {a.value.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"gather_rows: 1-D index array required, got shape {idx.shape}")
-    out = Node(a.value[idx], (a,), "gather_rows")
+    if step < 1 or not 0 <= start < a.value.shape[0]:
+        raise ValueError(f"gather_rows: start {start}, step {step} invalid for {a.value.shape[0]} rows")
+    out = Node(a.value[start::step], (a,), "gather_rows")
 
     def backward(g):
-        if not a.needs_grad:
-            return
-        unique = len(np.unique(idx)) == idx.size
-        if a.grad is None:
-            if unique and idx.size == a.value.shape[0]:
-                # a permutation of all rows: scatter-assign, no zero fill needed
-                a.grad = np.empty_like(a.value)
-                a.grad[idx] = g
-                return
-            a.grad = np.zeros_like(a.value)
-        if unique:
-            a.grad[idx] += g
-        else:
-            np.add.at(a.grad, idx, g)
+        if a.needs_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.value)
+            a.grad[start::step] += g
 
     return set_backward(out, backward)
 

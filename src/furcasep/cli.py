@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import generate_corpus, load_corpus
+from .corpus import generate_corpus, load_corpus, write_jsonl
 from .metrics import PitResult, pit_assign, sdr
 from .model import FurcaNet, ModelConfig, build, load_checkpoint
 from .signal import Waveform, read_wav, write_wav
@@ -102,11 +101,7 @@ def evaluate_model(model, examples, with_irm_oracle: bool = False) -> tuple[list
 
 
 def write_eval_report(path, header: dict, records: list[dict], aggregate: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "eval_config", **header}) + "\n")
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-        fh.write(json.dumps(aggregate) + "\n")
+    write_jsonl(path, [{"kind": "eval_config", **header}, *records, aggregate])
 
 
 def cmd_mix(args) -> int:

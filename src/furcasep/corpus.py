@@ -62,6 +62,20 @@ class MixtureExample:
     seed: int
 
 
+def write_jsonl(path, rows) -> None:
+    """Write one JSON object per line; every line is strict JSON.
+
+    A NaN or infinite value raises ValueError naming path, before the file is
+    opened, rather than writing the non-JSON tokens NaN or Infinity.
+    """
+    try:
+        text = "".join(json.dumps(row, allow_nan=False) + "\n" for row in rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 @dataclass(frozen=True)
 class ManifestRecord:
     example_id: str
@@ -87,26 +101,25 @@ class Manifest:
         return self.root / "manifest.jsonl"
 
     def save(self) -> Path:
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "kind": "corpus_meta",
-                "sample_rate_hz": self.sample_rate_hz,
-                "num_sources": self.num_sources,
-                "num_examples": len(self.records),
-                "snr_min_db": self.snr_min_db,
-                "snr_max_db": self.snr_max_db,
-                "seed": self.seed,
-                "generator_version": self.generator_version,
-            }) + "\n")
-            for r in self.records:
-                fh.write(json.dumps({
-                    "kind": "example",
-                    "example_id": r.example_id,
-                    "mixture": r.mixture_path,
-                    "sources": list(r.source_paths),
-                    "snr_db": r.snr_db,
-                    "seed": r.seed,
-                }) + "\n")
+        meta = {
+            "kind": "corpus_meta",
+            "sample_rate_hz": self.sample_rate_hz,
+            "num_sources": self.num_sources,
+            "num_examples": len(self.records),
+            "snr_min_db": self.snr_min_db,
+            "snr_max_db": self.snr_max_db,
+            "seed": self.seed,
+            "generator_version": self.generator_version,
+        }
+        examples = ({
+            "kind": "example",
+            "example_id": r.example_id,
+            "mixture": r.mixture_path,
+            "sources": list(r.source_paths),
+            "snr_db": r.snr_db,
+            "seed": r.seed,
+        } for r in self.records)
+        write_jsonl(self.path, [meta, *examples])
         return self.path
 
     @classmethod

@@ -163,14 +163,10 @@ class FurcaNet:
                 raise ValueError(f"forward_batch: mixed lengths {length} vs {len(w)}")
         batch = len(mixtures)
         geometry = FrameGeometry(c.frame_len, c.hop)
-        stacked = None
-        for b, w in enumerate(mixtures):
-            frames = sig.frame(w, geometry).frames
-            if stacked is None:
-                stacked = np.empty((frames.shape[0] * batch, c.frame_len))
-            stacked[b::batch] = frames  # time-major rows
-        num_steps = stacked.shape[0] // batch
-        h = ad.constant(stacked)  # each row is one full-frame window of the first gconv
+        # Row t*B + b is frame t of utterance b, one full-frame window of the first
+        # gconv. No local keeps this matrix, so it goes once the first gconv has
+        # read it; under no_grad every later activation goes the same way.
+        h = ad.constant(np.stack([sig.frame(w, geometry).frames for w in mixtures], axis=1).reshape(-1, c.frame_len))
         for gconv, norm in zip(self.gconvs, self.norms):
             h = norm.forward(gconv.forward_windows(h))
         for lstm in self.bilstms:
@@ -178,9 +174,10 @@ class FurcaNet:
         for dense in self.dnn:
             h = dense.forward(h)
         head_out = self.head.forward(h)  # [T*B x S*frame_len]
+        del h  # the head has read the last hidden layer
         outputs = []
         for b in range(batch):
-            rows = ad.gather_rows(head_out, np.arange(num_steps) * batch + b)
+            rows = ad.gather_rows(head_out, b, batch)  # a view: utterance b's frames
             per_source = []
             for s in range(c.num_sources):
                 frames_node = ad.narrow(rows, 1, s * c.frame_len, (s + 1) * c.frame_len)
@@ -192,7 +189,7 @@ class FurcaNet:
         """Inference: a forward pass under no_grad, returned as waveforms."""
         with ad.no_grad():
             outs = self.forward_batch([mixture])[0]
-        return [Waveform(o.value.copy(), mixture.sample_rate_hz) for o in outs]
+        return [Waveform(o.value, mixture.sample_rate_hz) for o in outs]
 
 
 def build(config: ModelConfig) -> FurcaNet:

@@ -111,8 +111,13 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(w: Waveform, path) -> int:
-    """Write a mono PCM-16 WAV file. Samples outside [-1, 1] are clamped; returns the clamp count."""
+    """Write a mono PCM-16 WAV file. Samples outside [-1, 1] are clamped; returns the clamp count.
+
+    A NaN or infinite sample raises ValueError naming path, before the file is created.
+    """
     s = w.samples
+    if not np.isfinite(s).all():
+        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(s))} non-finite samples, no file written")
     clipped = int(np.count_nonzero((s < -1.0) | (s > 1.0)))
     q = np.rint(np.clip(s, -1.0, 1.0) * PCM_SCALE)
     q = np.clip(q, -PCM_SCALE, PCM_SCALE - 1).astype("<i2")
@@ -133,9 +138,14 @@ def frame(w: Waveform, g: FrameGeometry) -> FrameMatrix:
     return FrameMatrix(_windows(buf, g.frame_len, g.hop), g, n, w.sample_rate_hz)
 
 
+def _window_view(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """The frames of a padded 1-D signal, frame_len samples each and hop apart, as a read-only view."""
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop]
+
+
 def _windows(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """The frames of a padded 1-D signal, frame_len samples each and hop apart, as a new array."""
-    return np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop].copy()
+    return _window_view(padded, frame_len, hop).copy()
 
 
 def _overlap_sum(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -158,8 +168,11 @@ def _overlap_sum(frames: np.ndarray, hop: int) -> np.ndarray:
 
 
 def overlap_count(num_frames: int, frame_len: int, hop: int) -> np.ndarray:
-    """How many of num_frames frames, hop apart, cover each sample of the padded signal."""
-    return _overlap_sum(np.ones((num_frames, frame_len)), hop)
+    """How many of num_frames frames, hop apart, cover each sample of the padded signal.
+
+    The frames summed are one broadcast 1.0, so no [num_frames x frame_len] array is made.
+    """
+    return _overlap_sum(np.broadcast_to(1.0, (num_frames, frame_len)), hop)
 
 
 def _overlap_add_padded(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -182,8 +195,10 @@ def _overlap_add_padded(frames: np.ndarray, hop: int) -> np.ndarray:
         width = min(hop, frame_len - j * hop)
         first[j : j + num, :width] = frames[:, j * hop : j * hop + width]
     first = first.reshape(-1)[:padded]
-    resid = _overlap_sum(frames - _windows(first, frame_len, hop), hop)
-    return first + resid / overlap_count(num, frame_len, hop)
+    resid = _overlap_sum(frames - _window_view(first, frame_len, hop), hop)
+    resid /= overlap_count(num, frame_len, hop)
+    resid += first  # first + resid / count, bit for bit: float addition commutes
+    return resid
 
 
 def overlap_add(f: FrameMatrix) -> Waveform:

@@ -11,7 +11,6 @@ to its example's position in the set.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as ly
 from .autodiff import ParamStore
+from .corpus import write_jsonl
 from .metrics import pit_assign
 from .model import FurcaNet, save_checkpoint
 
@@ -155,29 +155,27 @@ class TrainReport:
 
     def write_log(self, path) -> None:
         """Line-delimited JSON: one train_meta line, one line per epoch, one summary line."""
-        with open(path, "w", encoding="utf-8") as fh:
-            meta = {
-                "kind": "train_meta",
-                "restart_attempts": self.restart_attempts,
-                "restart_passed": self.restart_passed,
-                "init_seed": self.init_seed,
-                "init_dev_sdr_db": self.init_dev_sdr_db,
-            }
-            fh.write(json.dumps(meta) + "\n")
-            for r in self.records:
-                fh.write(json.dumps({
-                    "kind": "epoch",
-                    "epoch": r.epoch,
-                    "train_loss": r.train_loss,
-                    "dev_loss": r.dev_loss,
-                    "learning_rate": r.learning_rate,
-                    "wall_time_s": r.wall_time_s,
-                }) + "\n")
-            fh.write(json.dumps({
-                "kind": "train_summary",
-                "best_epoch": self.best_epoch,
-                "best_dev_loss": self.best_dev_loss,
-            }) + "\n")
+        meta = {
+            "kind": "train_meta",
+            "restart_attempts": self.restart_attempts,
+            "restart_passed": self.restart_passed,
+            "init_seed": self.init_seed,
+            "init_dev_sdr_db": self.init_dev_sdr_db,
+        }
+        epochs = ({
+            "kind": "epoch",
+            "epoch": r.epoch,
+            "train_loss": r.train_loss,
+            "dev_loss": r.dev_loss,
+            "learning_rate": r.learning_rate,
+            "wall_time_s": r.wall_time_s,
+        } for r in self.records)
+        summary = {
+            "kind": "train_summary",
+            "best_epoch": self.best_epoch,
+            "best_dev_loss": self.best_dev_loss,
+        }
+        write_jsonl(path, [meta, *epochs, summary])
 
 
 def batch_loss(model: FurcaNet, batch) -> ad.Node:

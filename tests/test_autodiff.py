@@ -39,8 +39,8 @@ PRIMITIVE_CASES = [
     ("scale", lambda a, s: ad.scale(a, s), [(4, 2), ()]),
     ("add_scalar", lambda a: ad.add_scalar(a, 1.7), [(6,)]),
     ("mul_scalar", lambda a: ad.mul_scalar(a, -2.5), [(6,)]),
-    ("gather_dup", lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)]),
-    ("gather_perm", lambda a: ad.gather_rows(a, [3, 1, 0, 2]), [(4, 3)]),
+    ("gather_strided", lambda a: ad.gather_rows(a, 1, 3), [(7, 3)]),
+    ("gather_all", lambda a: ad.gather_rows(a, 0, 1), [(4, 3)]),
 ]
 
 
@@ -66,6 +66,35 @@ class TestPrimitiveGradients:
         params.add("x", np.array([0.5, 1.0, 3.0, 10.0]))
         err = grad_check(lambda p: ad.mean(ad.log10(p["x"])), params)
         assert err < 1e-4
+
+
+class TestGatherRows:
+    def test_output_is_a_view_of_the_strided_rows(self):
+        a = constant(np.arange(21.0).reshape(7, 3))
+        out = ad.gather_rows(a, 1, 3)
+        assert np.shares_memory(out.value, a.value)
+        assert np.array_equal(out.value, a.value[[1, 4]])
+
+    def test_backward_fills_only_the_strided_rows(self):
+        a = parameter(np.random.default_rng(4).normal(size=(7, 3)))
+        backward(ad.mean(ad.gather_rows(a, 2, 2)))  # rows 2, 4, 6
+        want = np.zeros((7, 3))
+        want[2::2] = 1.0 / 9.0
+        assert np.array_equal(a.grad, want)
+
+    def test_fanout_over_interleaved_rows_accumulates(self):
+        a = parameter(np.random.default_rng(5).normal(size=(6, 2)))
+        x = ad.mul_scalar(a, 1.0)  # an interior node, so both gathers add into one transient gradient
+        even, odd = ad.gather_rows(x, 0, 2), ad.gather_rows(x, 1, 2)
+        backward(ad.add(ad.mean(ad.mul_scalar(even, 2.0)), ad.mean(odd)))
+        assert np.array_equal(a.grad[0::2], np.full((3, 2), 2.0 / 6.0))
+        assert np.array_equal(a.grad[1::2], np.full((3, 2), 1.0 / 6.0))
+
+    @pytest.mark.parametrize("shape,start,step", [((6,), 0, 1), ((2, 3, 1), 0, 1), ((6, 2), 0, 0),
+                                                  ((6, 2), 1, -1), ((6, 2), 6, 1), ((6, 2), -1, 1)])
+    def test_bad_input_rejected(self, shape, start, step):
+        with pytest.raises(ValueError, match="gather_rows"):
+            ad.gather_rows(constant(np.zeros(shape)), start, step)
 
 
 class TestForwardValues:

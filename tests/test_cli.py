@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from furcasep import cli
-from furcasep.cli import _pit_sdri, evaluate_model, main, parse_config_file
+from furcasep.cli import _pit_sdri, evaluate_model, main, parse_config_file, write_eval_report
 from furcasep.corpus import generate_corpus, load_corpus
 from furcasep.metrics import pit_assign, sdr
 from furcasep.model import ModelConfig, build, load_checkpoint, save_checkpoint
@@ -239,6 +240,22 @@ class TestSeparateCommand:
         assert "checksum" in capsys.readouterr().err
 
 
+    def test_non_finite_output_fails_and_writes_no_wav(self, corpus_dir, tmp_path, capsys):
+        model = build(ModelConfig(
+            frame_len=16, hop=8, gconv_layers=2, gconv_channels=4,
+            bilstm_layers=1, bilstm_hidden=4, dnn_layers=1, dnn_width=8, seed=1,
+        ))
+        model.params["head.b"].value[:] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(model, ckpt)
+        mixture = next((corpus_dir / "train" / "wav").glob("*.mix.wav"))
+        out = tmp_path / "sep"
+        rc = main(["separate", "--model", str(ckpt), "--input", str(mixture), "--out", str(out)])
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.glob("*.wav")) == []
+
+
 class RampModel:
     """Stands in for a loaded model: source 1 is a ramp from -peak to peak, source 2 half of it."""
 
@@ -334,6 +351,13 @@ class TestEvaluateCommand:
             oracle_sdri = sdri(pit_assign(example.sources, irm_separate(example.mixture, example.sources)))
             assert record["per_source_sdri_db"] == model_sdri
             assert record["irm_sdri_db"] == float(np.mean(oracle_sdri))
+
+    def test_non_finite_value_raises_naming_the_report(self, tmp_path):
+        report = tmp_path / "report.jsonl"
+        record = {"kind": "example", "example_id": "x", "sdri_db": float("nan")}
+        with pytest.raises(ValueError, match=f"{re.escape(str(report))}: Out of range float"):
+            write_eval_report(report, {"model": "m"}, [record], {"kind": "aggregate"})
+        assert not report.exists()
 
     def test_reports_deterministic(self, corpus_dir, tiny_checkpoint, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

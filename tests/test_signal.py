@@ -85,6 +85,13 @@ class TestWavIO:
         assert write_wav(wav_of([1.5]), path) == 1
         assert read_wav(path).samples[0] == 32767 / 32768
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_before_the_file_exists(self, tmp_path, bad):
+        path = tmp_path / "nf.wav"
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 1 non-finite"):
+            write_wav(wav_of([0.25, bad, -0.5]), path)
+        assert not path.exists()
+
     @given(samples=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_quantization_bound(self, tmp_path_factory, samples):
