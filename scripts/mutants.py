@@ -2,9 +2,9 @@
 """Mutation check: every listed one-line mutant of src/ must fail the fast test suite.
 
 A mutant is (file, old text, new text, reason). For each one, src/, tests/,
-configs/ and pyproject.toml are copied to a temporary directory, the old text
-(which must occur exactly once in the file) is replaced by the new one in the
-copy, and
+configs/, scripts/ and pyproject.toml are copied to a temporary directory,
+the old text (which must occur exactly once in the file) is replaced by the
+new one in the copy, and
     pytest -q -m "not slow" -x -p no:cacheprovider
 runs against the copy, less tests/test_mutants.py, which checks this list
 against the unmutated files. A mutant that the suite still passes has survived.
@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-m", "not slow", "-x", "-p", "no:cacheprovider",
           "--ignore", "tests/test_mutants.py"]
-COPIED = ("src", "tests", "configs")  # with pyproject.toml, what the fast suite reads
+COPIED = ("src", "tests", "configs", "scripts")  # with pyproject.toml, what the fast suite reads
 TIMEOUT_S = 900
 
 # (file, old text, new text, reason if equivalent or None)
@@ -68,6 +68,16 @@ MUTANTS = [
     # non-finite samples written to a WAV, and NaN written into line-delimited JSON
     ("src/furcasep/signal.py", "if not np.isfinite(s).all():", "if False:", None),
     ("src/furcasep/corpus.py", "json.dumps(row, allow_nan=False)", "json.dumps(row)", None),
+    # the parameter vector: a value copied instead of viewed, reset walking the
+    # parameters backwards, the forget-gate bias initial 1.0 dropped
+    ("src/furcasep/autodiff.py", "node.value = view", "node.value = view.copy()", None),
+    ("src/furcasep/autodiff.py", "zip(self.nodes(), self._initial)", "reversed(list(zip(self.nodes(), self._initial)))",
+     None),
+    ("src/furcasep/layers.py", "np.repeat([0.0, 1.0, 0.0, 0.0], hidden_size)",
+     "np.repeat([0.0, 0.0, 0.0, 0.0], hidden_size)", None),
+    # flat Adam: a scratch vector aliased with the first moment, the no-gradient check removed
+    ("src/furcasep/training.py", "self.scratch = np.empty(params.total_size)", "self.scratch = self.m", None),
+    ("src/furcasep/training.py", "if node.grad is None:", "if False:", None),
 ]
 
 

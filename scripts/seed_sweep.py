@@ -7,20 +7,18 @@ training loop restarts until the initial SDR clears a threshold.
 """
 
 import argparse
-import json
-from pathlib import Path
 
-from furcasep.corpus import load_corpus
+from furcasep.corpus import load_corpus, write_jsonl
 from furcasep.model import ModelConfig
 from furcasep.training import initial_sdr_sweep
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dev", required=True, help="dev manifest path")
     parser.add_argument("--seeds", type=int, default=10, help="number of seeds (0..n-1)")
     parser.add_argument("--out", default=None, help="optional JSONL output path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     dev_set = load_corpus(args.dev)
     results = initial_sdr_sweep(ModelConfig(), dev_set, seeds=range(args.seeds))
@@ -29,9 +27,7 @@ def main() -> int:
     values = [row["mean_sdr_db"] for row in results]
     print(f"spread: best {max(values):.3f} dB, worst {min(values):.3f} dB")
     if args.out:
-        with open(Path(args.out), "w", encoding="utf-8") as fh:
-            for row in results:
-                fh.write(json.dumps(row) + "\n")
+        write_jsonl(args.out, results)  # strict JSON: a NaN SDR raises, naming the file
     return 0
 
 

@@ -403,59 +403,87 @@ def backward(loss: Node) -> None:
 
 
 class ParamStore:
-    """Named trainable parameters in creation order."""
+    """Named trainable parameters in creation order, as views of one vector.
+
+    add() declares a parameter's initial value; with draw set, reset() calls
+    draw(rng, value) to fill it instead. On first use (values, reset, items,
+    nodes or the flat round trip) the store makes one float64 vector, values,
+    and every parameter's value becomes a reshaped view of it; add() raises
+    after that. Before it a value is the array add() was given: read-only in
+    the layers, so a write that the vector would lose raises.
+    """
 
     def __init__(self):
         self._params: dict[str, Node] = {}
+        self._initial: list = []  # (initial value, draw or None) per parameter
+        self._values = None
+        self.total_size = 0
 
-    def add(self, name: str, value) -> Node:
+    def add(self, name: str, value, draw=None) -> Node:
+        if self._values is not None:
+            raise ValueError(f"cannot add '{name}': the parameter vector is already made")
         if name in self._params:
             raise ValueError(f"duplicate parameter name '{name}'")
-        node = parameter(value)
-        self._params[name] = node
+        node = self._params[name] = parameter(value)
+        self._initial.append((node.value, draw))
+        self.total_size += node.value.size
         return node
+
+    def _adopt(self, vec: np.ndarray, fill: bool) -> None:
+        offset = 0
+        for node in self._params.values():
+            view = vec[offset : offset + node.value.size].reshape(node.value.shape)
+            if fill:
+                view[...] = node.value
+            node.value = view
+            offset += view.size
+        self._values = vec
+
+    def _vector(self) -> np.ndarray:
+        if self._values is None:
+            self._adopt(np.empty(self.total_size), fill=True)
+        return self._values
+
+    values = property(_vector, doc="Every parameter value in creation order, row-major.")
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Set every parameter to its initial value, or draw it from rng, in creation order."""
+        for node, (initial, draw) in zip(self.nodes(), self._initial):
+            if draw is None:
+                node.value[...] = initial
+            else:
+                draw(rng, node.value)
 
     def __getitem__(self, name: str) -> Node:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
+        self._vector()
         return self._params.items()
 
     def nodes(self) -> list[Node]:
+        self._vector()
         return list(self._params.values())
 
     def zero_grad(self) -> None:
         for node in self._params.values():
             node.grad = None
 
-    @property
-    def total_size(self) -> int:
-        return int(np.sum([n.value.size for n in self._params.values()], dtype=np.int64)) if self._params else 0
-
     def flat_values(self) -> np.ndarray:
-        """All parameter values concatenated in creation order, row-major."""
-        if not self._params:
-            return np.zeros(0)
-        return np.concatenate([n.value.reshape(-1) for n in self._params.values()])
+        return self.values.copy()
 
     def load_flat_values(self, vec: np.ndarray) -> None:
+        """Copy vec into values; a store not yet used adopts a copy of vec as its vector."""
         vec = as_tensor(vec).reshape(-1)
         if vec.size != self.total_size:
             raise ValueError(f"load_flat_values: got {vec.size} values, store holds {self.total_size}")
-        offset = 0
-        for node in self._params.values():
-            size = node.value.size
-            node.value[...] = vec[offset : offset + size].reshape(node.value.shape)
-            offset += size
+        if self._values is None:
+            self._adopt(np.array(vec, dtype=np.float64), fill=False)
+        else:
+            np.copyto(self._values, vec)
 
 
 def grad_check(f, params: ParamStore, epsilon: float = 1e-5, coords_per_param: int | None = None, seed: int = 0) -> float:

@@ -3,9 +3,9 @@ normalization, bidirectional LSTM with hand-rolled backpropagation through
 time, dense layers, a differentiable overlap-add, and the permutation-invariant
 utterance-SDR loss head.
 
-Layers create their weights at zero. reset(rng) draws them in place by the
-uniform fan-in rule and sets every bias and gain to its initial constant; a
-model loaded from a checkpoint is filled from the file and draws nothing.
+Layers add each parameter with its initial value, a read-only constant, and
+their weights with uniform_init as the draw that ParamStore.reset(rng) calls;
+a model loaded from a checkpoint is filled from the file and draws nothing.
 
 Sequence tensors are time-major: an [T*B x F] matrix stores step t of batch
 element b at row t*B + b. Non-recurrent layers are row-wise and do not care.
@@ -47,7 +47,7 @@ LSTM_BLOCK_STEPS = 64  # steps per lstm_sequence projection block and per one-bl
 def uniform_init(rng: np.random.Generator, weight: np.ndarray) -> None:
     """Fill a [fan_in x fan_out] weight in place with U(-b, b) draws, b = 1/sqrt(fan_in).
 
-    This is the one function that draws initial values; the layers' reset(rng) calls it.
+    This is the one function that draws initial values; the layers add their weights with it as the draw.
     """
     bound = math.sqrt(1.0 / weight.shape[0])
     weight[...] = rng.uniform(-bound, bound, size=weight.shape)
@@ -69,17 +69,10 @@ class GConvLayer:
         self.in_channels = in_channels
         self.kernel_len = kernel_len
         fan_in = in_channels * kernel_len
-        self.w = params.add(f"{name}.w", np.zeros((fan_in, out_channels)))
-        self.b = params.add(f"{name}.b", np.zeros(out_channels))
-        self.w_gate = params.add(f"{name}.w_gate", np.zeros((fan_in, out_channels)))
-        self.b_gate = params.add(f"{name}.b_gate", np.zeros(out_channels))
-
-    def reset(self, rng: np.random.Generator) -> None:
-        """Draw both kernels from rng, linear path first, and zero both biases."""
-        uniform_init(rng, self.w.value)
-        self.b.value[...] = 0.0
-        uniform_init(rng, self.w_gate.value)
-        self.b_gate.value[...] = 0.0
+        self.w = params.add(f"{name}.w", np.broadcast_to(0.0, (fan_in, out_channels)), draw=uniform_init)
+        self.b = params.add(f"{name}.b", np.broadcast_to(0.0, out_channels))
+        self.w_gate = params.add(f"{name}.w_gate", np.broadcast_to(0.0, (fan_in, out_channels)), draw=uniform_init)
+        self.b_gate = params.add(f"{name}.b_gate", np.broadcast_to(0.0, out_channels))
 
     def forward_windows(self, windows: Node) -> Node:
         """Apply both paths to rows that are already flattened conv windows."""
@@ -123,13 +116,8 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node) -> Node:
 
 class LayerNorm:
     def __init__(self, params: ParamStore, name: str, dim: int):
-        self.gain = params.add(f"{name}.gain", np.ones(dim))
-        self.bias = params.add(f"{name}.bias", np.zeros(dim))
-
-    def reset(self, rng: np.random.Generator) -> None:
-        """Back to gain 1 and bias 0; draws nothing from rng."""
-        self.gain.value[...] = 1.0
-        self.bias.value[...] = 0.0
+        self.gain = params.add(f"{name}.gain", np.broadcast_to(1.0, dim))
+        self.bias = params.add(f"{name}.bias", np.broadcast_to(0.0, dim))
 
     def forward(self, x: Node) -> Node:
         return layer_norm_rows(x, self.gain, self.bias)
@@ -329,8 +317,8 @@ class BiLstmLayer:
     lstm_sequence (three concat nodes: w_in side by side, b end to end, w_rec
     forward rows over backward rows) and makes one lstm_sequence call on the
     layer input, which projects it inside the op; the graph keeps the output,
-    the gates and the cell, not a pre-activation. reset(rng) sets the
-    forget-gate bias columns to 1.0 and draws the weights by the uniform
+    the gates and the cell, not a pre-activation. The biases start at 0.0
+    with the forget-gate columns at 1.0; the weights are drawn by the uniform
     fan-in rule.
     """
 
@@ -341,19 +329,12 @@ class BiLstmLayer:
         self.w_in = {}
         self.w_rec = {}
         self.b = {}
+        h4 = 4 * hidden_size
+        bias = np.broadcast_to(np.repeat([0.0, 1.0, 0.0, 0.0], hidden_size), h4)  # forget-gate columns 1.0
         for d in self.DIRECTIONS:
-            self.w_in[d] = params.add(f"{name}.{d}.w_in", np.zeros((input_size, 4 * hidden_size)))
-            self.w_rec[d] = params.add(f"{name}.{d}.w_rec", np.zeros((hidden_size, 4 * hidden_size)))
-            self.b[d] = params.add(f"{name}.{d}.b", np.zeros(4 * hidden_size))
-
-    def reset(self, rng: np.random.Generator) -> None:
-        """Per direction, draw w_in then w_rec from rng and set the bias (forget columns 1.0)."""
-        hidden = self.w_rec["fwd"].value.shape[0]
-        for d in self.DIRECTIONS:
-            uniform_init(rng, self.w_in[d].value)
-            uniform_init(rng, self.w_rec[d].value)
-            self.b[d].value[...] = 0.0
-            self.b[d].value[hidden : 2 * hidden] = 1.0
+            self.w_in[d] = params.add(f"{name}.{d}.w_in", np.broadcast_to(0.0, (input_size, h4)), draw=uniform_init)
+            self.w_rec[d] = params.add(f"{name}.{d}.w_rec", np.broadcast_to(0.0, (hidden_size, h4)), draw=uniform_init)
+            self.b[d] = params.add(f"{name}.{d}.b", bias)
 
     def forward(self, x: Node, batch_size: int = 1) -> Node:
         """[T*B x input_size] time-major in, [T*B x 2*hidden_size] out."""
@@ -378,13 +359,8 @@ class DenseLayer:
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"DenseLayer: unknown activation '{activation}'")
         self.activation = activation
-        self.w = params.add(f"{name}.w", np.zeros((in_size, out_size)))
-        self.b = params.add(f"{name}.b", np.zeros(out_size))
-
-    def reset(self, rng: np.random.Generator) -> None:
-        """Draw the weight from rng and zero the bias."""
-        uniform_init(rng, self.w.value)
-        self.b.value[...] = 0.0
+        self.w = params.add(f"{name}.w", np.broadcast_to(0.0, (in_size, out_size)), draw=uniform_init)
+        self.b = params.add(f"{name}.b", np.broadcast_to(0.0, out_size))
 
     def forward(self, x: Node) -> Node:
         y = ad.affine(x, self.w, self.b)

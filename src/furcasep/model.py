@@ -94,11 +94,11 @@ class FurcaNet:
 
     def __init__(self, config: ModelConfig):
         self._wire(config)
-        self._draw(config.seed)
+        self.params.reset(np.random.default_rng(config.seed))
 
     @classmethod
     def _unfilled(cls, config: ModelConfig) -> "FurcaNet":
-        """The wired network with its initial values not drawn, for a checkpoint load to fill."""
+        """The wired network, nothing drawn and no parameter vector made, for a checkpoint load to fill."""
         model = cls.__new__(cls)
         model._wire(config)
         return model
@@ -129,16 +129,6 @@ class FurcaNet:
             dense_in = c.dnn_width
         self.head = ly.DenseLayer(self.params, "head", dense_in, c.num_sources * c.frame_len, "linear")
 
-    def _draw(self, seed: int) -> None:
-        """Set every parameter to its initial value from one generator seeded with seed.
-
-        The weights are drawn in the order the layers were wired (the layer
-        norms draw nothing), so the values depend only on the config and seed.
-        """
-        rng = np.random.default_rng(seed)
-        for layer in (*self.gconvs, *self.norms, *self.bilstms, *self.dnn, self.head):
-            layer.reset(rng)
-
     @property
     def param_count(self) -> int:
         return self.params.total_size
@@ -147,7 +137,7 @@ class FurcaNet:
         """Re-draw all parameters from a new seed, in place, to the values FurcaNet gives that seed."""
         config = dataclasses.replace(self.config, seed=seed)
         config.validate()
-        self._draw(seed)
+        self.params.reset(np.random.default_rng(seed))
         self.config = config
 
     def forward_batch(self, mixtures: list[Waveform]) -> list[list[Node]]:
@@ -200,12 +190,11 @@ def save_checkpoint(model: FurcaNet, path) -> None:
     """Versioned binary checkpoint: magic, version, config JSON, raw float64 LE
     parameters in store order, CRC32 footer.
 
-    One pass: the header is written first, then each parameter's bytes
-    straight from its array, with the CRC32 carried along; the payload is
-    never staged in a second buffer, so a save holds nothing the size of the
-    file beyond the parameters themselves. The bytes go to a temporary file
-    next to path, which then replaces path in one os.replace: a failed write
-    leaves any earlier checkpoint intact and removes the temporary file.
+    One pass: the header, then the parameter vector's bytes straight from it
+    with one running CRC32; nothing the size of the file is staged beside the
+    parameters. The bytes go to a temporary file next to path, which then
+    replaces path in one os.replace: a failed write leaves any earlier
+    checkpoint intact and removes the temporary file.
     """
     cfg_json = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
     header = (
@@ -218,12 +207,9 @@ def save_checkpoint(model: FurcaNet, path) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            crc = zlib.crc32(header)
-            for node in model.params.nodes():
-                block = np.ascontiguousarray(node.value, dtype="<f8")  # a copy only on big-endian hosts
-                fh.write(block)
-                crc = zlib.crc32(block, crc)
-            fh.write(struct.pack("<I", crc))
+            block = np.ascontiguousarray(model.params.values, dtype="<f8")  # a copy only on big-endian hosts
+            fh.write(block)
+            fh.write(struct.pack("<I", zlib.crc32(block, zlib.crc32(header))))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -237,8 +223,8 @@ def load_checkpoint(path) -> FurcaNet:
     One pass: the file is read once; the CRC, the header and the parameter
     block are all read through views of that one buffer. The network is
     wired without drawing initial values, and the parameter block is copied
-    once, straight into the parameters, so a load peaks at about twice the
-    file size.
+    once, into the vector the parameters view, so a load peaks at about
+    twice the file size.
     """
     with open(path, "rb") as fh:
         data = fh.read()

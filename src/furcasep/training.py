@@ -62,17 +62,20 @@ ADAM_EPS = 1e-8  # update denominator guard
 
 
 class AdamState:
-    """First/second moment accumulators mirroring a ParamStore, plus the step count."""
+    """Moments laid out like ParamStore.values, the step count, and two scratch vectors."""
 
     def __init__(self, params: ParamStore, learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = {name: np.zeros_like(node.value) for name, node in params.items()}
-        self.v = {name: np.zeros_like(node.value) for name, node in params.items()}
+        self.m = np.zeros(params.total_size)
+        self.v = np.zeros(params.total_size)
+        self.grad = np.empty(params.total_size)
+        self.scratch = np.empty(params.total_size)
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
-    """Bias-corrected Adam update in place; gradients are cleared afterwards."""
+    """Bias-corrected Adam, value -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in place over the
+    flat vectors, elementwise in that order; gradients are cleared afterwards."""
     for name, node in params.items():
         if node.grad is None:
             raise ValueError(f"adam_step: parameter '{name}' has no gradient")
@@ -80,15 +83,20 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, node in params.items():
-        g = node.grad
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        node.value -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g, s, m, v, values = state.grad, state.scratch, state.m, state.v, params.values
+    np.concatenate([node.grad for node in params.nodes()], axis=None, out=g)
+    m *= ADAM_BETA1  # m = b1 m + (1 - b1) g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2  # v = b2 v + (1 - b2) g g
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, bc1, out=s)  # the update in s, its denominator in g, which the moments no longer need
+    s *= state.learning_rate
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    s /= g
+    values -= s
     params.zero_grad()
 
 
@@ -234,7 +242,7 @@ def train(model: FurcaNet, train_set, dev_set, cfg: TrainConfig, out_dir=None) -
     state = AdamState(model.params, cfg.initial_lr)
     lr = cfg.initial_lr
     prev_dev_loss = None
-    best_values = model.params.flat_values().copy()
+    best_values = model.params.flat_values()
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_set))
@@ -260,7 +268,7 @@ def train(model: FurcaNet, train_set, dev_set, cfg: TrainConfig, out_dir=None) -
         if dev_loss < report.best_dev_loss:
             report.best_dev_loss = dev_loss
             report.best_epoch = epoch
-            best_values = model.params.flat_values().copy()
+            best_values = model.params.flat_values()
         lr = next_learning_rate(lr, prev_dev_loss, dev_loss, cfg.lr_decay)
         prev_dev_loss = dev_loss
     model.params.load_flat_values(best_values)

@@ -1,0 +1,107 @@
+"""Graph census of the fingerprint's desk batch loss: model seed 0 on the first
+8 train examples of default_desk_corpus(seed=1).
+
+The test pins the number of graph nodes per op reachable from the loss, the
+parameter and constant leaves, and bounds the bytes the live graph holds under
+tracemalloc. Node counts are exact. The byte bound sits about 0.7 MiB above
+the measured 43.8 MiB, so one more [T*B x 128] float64 array kept alive
+(1592 x 128 x 8 bytes = 1.55 MiB at this batch) fails it.
+
+A change that alters the graph on purpose prints the new table with
+
+    PYTHONPATH=src python tests/test_census.py
+
+pastes it over the block below, and says so in CHANGES.md. A change that
+alters it by accident fails here.
+"""
+
+import collections
+import tracemalloc
+
+import pytest
+
+from furcasep import autodiff as ad
+from furcasep.corpus import default_desk_corpus, load_corpus
+from furcasep.model import ModelConfig, build
+from furcasep.training import batch_loss
+
+CORPUS_SEED = 1
+BATCH = 8
+MIB = 2**20
+
+# --- recorded census (regenerate as described above) ---
+NODES = {
+    'mul_scalar': 57,
+    'dot': 32,
+    'log10': 32,
+    'sub': 32,
+    'mul': 21,
+    'add_scalar': 16,
+    'narrow': 16,
+    'overlap_add_frames': 16,
+    'scale': 16,
+    'add': 15,
+    'affine': 13,
+    'gather_rows': 8,
+    'concat': 6,
+    'layer_norm_rows': 5,
+    'sigmoid': 5,
+    'lstm_sequence': 2,
+    'relu': 2,
+}
+PARAMETERS = 48
+CONSTANTS = 17
+HELD_MIB_BOUND = 44.5  # measured 43.80-43.83 MiB
+# --- end of recorded census ---
+
+
+def census(root):
+    """({op: interior nodes}, parameters, constant leaves, MiB the live graph holds) of the desk batch loss."""
+    train = load_corpus(default_desk_corpus(root, seed=CORPUS_SEED)["train"].path)[:BATCH]
+    model = build(ModelConfig(seed=0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, train)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    order = ad._topo_order(loss)
+    counts = collections.Counter(node.op for node in order if node.parents)
+    nodes = dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    parameters = sum(node.trainable for node in order)
+    constants = sum(not node.parents and not node.trainable for node in order)
+    return nodes, parameters, constants, held / MIB
+
+
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory):
+    return census(tmp_path_factory.mktemp("census_corpus"))
+
+
+def test_nodes_per_op(measured):
+    nodes = measured[0]
+    assert nodes == NODES
+    assert sum(nodes.values()) == 294
+
+
+def test_leaves(measured):
+    assert measured[1:3] == (PARAMETERS, CONSTANTS)
+
+
+def test_bytes_held_by_the_live_graph(measured):
+    assert measured[3] < HELD_MIB_BOUND
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as root:
+        nodes, parameters, constants, held = census(root)
+    print("NODES = {")
+    for op, count in nodes.items():
+        print(f"    {op!r}: {count},")
+    print("}")
+    print(f"PARAMETERS = {parameters}")
+    print(f"CONSTANTS = {constants}")
+    print(f"# held: {held:.2f} MiB over {sum(nodes.values())} interior nodes; HELD_MIB_BOUND is set by hand")

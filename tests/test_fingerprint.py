@@ -15,10 +15,14 @@ kernel) regenerates the values with
 pastes the printed block over the one below, and says so in CHANGES.md.
 
 The same command also prints one SHA256 line over the exact bytes of the
-loss, every gradient (store order) and every separate() output. Tolerances
-cannot show a change in the last bit, so a claim that a change keeps the
-arithmetic bit for bit is checked by running the command on the parent and on
-the change (on the same machine) and comparing that line.
+loss, every gradient (store order) and every separate() output, and after it
+a BLAS line: the BLAS library numpy was built with, its version, and the
+OPENBLAS_NUM_THREADS in effect. Tolerances cannot show a change in the last
+bit, so a claim that a change keeps the arithmetic bit for bit is checked by
+running the command on the parent and on the change and comparing that line.
+The SHA is exact per (machine, BLAS library, thread count): the weight
+gradients come from GEMMs whose summation order depends on the thread count,
+so 1 and 2 threads give different SHAs that both pass the 1e-12 checks.
 
 A second block pins what involves no arithmetic beyond the generator's draw:
 the SHA-256 of the initial parameter values (float64 little-endian, store
@@ -29,6 +33,7 @@ the v1 file format changed. The command prints them too.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +154,13 @@ def checkpoint_sha256(root):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def blas_line():
+    """The BLAS numpy was built with, its version, and the OPENBLAS_NUM_THREADS in effect."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", f"unset ({os.cpu_count()} CPUs)")
+    return f"BLAS = {blas['name']} {blas['version']}, OPENBLAS_NUM_THREADS = {threads}"
+
+
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory):
     return fingerprint(*run(tmp_path_factory.mktemp("fingerprint_corpus")))
@@ -193,6 +205,14 @@ def test_checkpoint_bytes(tmp_path):
     assert checkpoint_sha256(tmp_path) == CHECKPOINT_SHA256
 
 
+def test_blas_line_names_library_and_thread_count(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    line = blas_line()
+    assert line.startswith("BLAS = ") and line.endswith(", OPENBLAS_NUM_THREADS = 3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert blas_line().endswith(f"OPENBLAS_NUM_THREADS = unset ({os.cpu_count()} CPUs)")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -209,6 +229,7 @@ if __name__ == "__main__":
         print(f"    {row!r},")
     print("]")
     print(f"SHA256 = {sha256(*raw)}")
+    print(blas_line())
     print("INIT_SHA256 = {")
     for seed in sorted(INIT_SHA256):
         print(f"    {seed}: {init_sha256(build(ModelConfig(seed=seed)))!r},")

@@ -69,7 +69,7 @@ class TestGConv:
     def make(self, c_in=1, c_out=3, kernel=8, seed=0):
         params = ParamStore()
         layer = ly.GConvLayer(params, "g", c_in, c_out, kernel)
-        layer.reset(np.random.default_rng(seed))
+        params.reset(np.random.default_rng(seed))
         return params, layer
 
     def test_zero_gate_halves_linear_path(self):
@@ -143,6 +143,7 @@ class TestLayerNorm:
 
     def test_zero_gain_outputs_bias(self):
         params, norm = self.make()
+        params.reset(np.random.default_rng(0))  # makes the vector, so the parameters are writable
         norm.gain.value[...] = 0.0
         norm.bias.value[...] = np.arange(6.0)
         out = norm.forward(constant(np.random.default_rng(8).normal(size=(3, 6))))
@@ -172,7 +173,7 @@ class TestBiLstm:
     def make(self, input_size=3, hidden=4, seed=0):
         params = ParamStore()
         layer = ly.BiLstmLayer(params, "lstm", input_size, hidden)
-        layer.reset(np.random.default_rng(seed))
+        params.reset(np.random.default_rng(seed))
         return params, layer
 
     def test_zero_weights_zero_output(self):
@@ -211,8 +212,10 @@ class TestBiLstm:
         assert err < 1e-4
 
     def test_gradients_through_input(self):
-        params, layer = self.make(seed=16)
-        params.add("x", np.random.default_rng(17).normal(size=(4, 3)))
+        params = ParamStore()
+        layer = ly.BiLstmLayer(params, "lstm", 3, 4)
+        params.add("x", np.random.default_rng(17).normal(size=(4, 3)))  # before reset makes the vector
+        params.reset(np.random.default_rng(16))
         err = grad_check(lambda p: ad.mean(layer.forward(p["x"])), params)
         assert err < 1e-4
 
@@ -322,7 +325,7 @@ class TestLstmSequence:
         steps, batch, features, hidden = 3 * BLOCK + 5, 2, 8, 16
         params = ParamStore()
         layer = ly.BiLstmLayer(params, "lstm", features, hidden)
-        layer.reset(np.random.default_rng(302))
+        params.reset(np.random.default_rng(302))
         x = constant(np.random.default_rng(303).normal(size=(steps * batch, features)))
         tracemalloc.start()
         try:
@@ -403,6 +406,7 @@ class TestDense:
     def test_identity_weight_linear(self):
         params = ParamStore()
         layer = ly.DenseLayer(params, "d", 4, 4, "linear")
+        params.reset(np.random.default_rng(0))  # makes the vector, so the parameters are writable
         layer.w.value[...] = np.eye(4)
         layer.b.value[...] = 0.0
         x = np.random.default_rng(20).normal(size=(5, 4))
@@ -411,6 +415,7 @@ class TestDense:
     def test_relu_zeroes_negative_preactivations(self):
         params = ParamStore()
         layer = ly.DenseLayer(params, "d", 3, 2, "relu")
+        params.reset(np.random.default_rng(0))  # makes the vector, so the parameters are writable
         layer.w.value[...] = 0.0
         layer.b.value[...] = [-1.0, -2.0]
         out = layer.forward(constant(np.random.default_rng(21).normal(size=(4, 3))))
@@ -419,7 +424,7 @@ class TestDense:
     def test_matches_matrix_multiply(self):
         params = ParamStore()
         layer = ly.DenseLayer(params, "d", 3, 5, "linear")
-        layer.reset(np.random.default_rng(2))
+        params.reset(np.random.default_rng(2))
         x = np.random.default_rng(22).normal(size=(6, 3))
         want = x @ layer.w.value + layer.b.value
         assert np.max(np.abs(layer.forward(constant(x)).value - want)) < 1e-12
@@ -431,7 +436,7 @@ class TestDense:
     def test_gradients(self):
         params = ParamStore()
         layer = ly.DenseLayer(params, "d", 3, 2, "relu")
-        layer.reset(np.random.default_rng(3))
+        params.reset(np.random.default_rng(3))
         x = np.random.default_rng(23).normal(size=(4, 3)) + 0.5
         assert grad_check(lambda p: ad.mean(layer.forward(constant(x))), params) < 1e-4
 
