@@ -78,6 +78,12 @@ MUTANTS = [
     # flat Adam: a scratch vector aliased with the first moment, the no-gradient check removed
     ("src/furcasep/training.py", "self.scratch = np.empty(params.total_size)", "self.scratch = self.m", None),
     ("src/furcasep/training.py", "if node.grad is None:", "if False:", None),
+    # the graph: a rule that keeps its input Node (the gate pre-activation)
+    # alive, and one more node per dense layer
+    ("src/furcasep/autodiff.py", 'return record(y, "sigmoid", (a,), backward)',
+     'return record(y, "sigmoid", (a,), lambda g, e, a=a: backward(g, e))', None),
+    ("src/furcasep/layers.py", "y = ad.affine(x, self.w, self.b)",
+     "y = ad.mul_scalar(ad.affine(x, self.w, self.b), 1.0)", None),
 ]
 
 

@@ -1,14 +1,18 @@
 """Reverse-mode automatic differentiation over dense float64 numpy tensors.
 
 Eager forward, taped backward: every operation computes its value immediately
-and records a closure that routes the output gradient to its inputs.
-backward() releases each interior gradient as soon as it has been routed, so
-interior gradients are transient and only parameters keep a .grad afterwards.
-Inside no_grad() nothing is recorded, so a forward-only pass frees each
-intermediate as soon as the next operation has used it. Scalars are 0-d
-arrays. There is no implicit broadcasting; shapes must match exactly except
-where an operation is explicitly defined otherwise (affine's bias, scale, the
-*_scalar helpers).
+and records a tape entry whose rule routes the output gradient to its inputs.
+The op returns a Node that holds the value and points to that entry; the
+entries link to each other and hold no values. A rule captures the arrays it
+reads, never an input Node, so the graph keeps the parameters, the constants
+and what the rules read, and an intermediate value that no rule reads is
+freed as soon as the caller drops its Node. backward() releases each interior
+gradient as soon as it has been routed, so interior gradients are transient
+and only parameters keep a .grad afterwards. Inside no_grad() no entry is
+made, so a forward-only pass frees each intermediate as soon as the next
+operation has used it. Scalars are 0-d arrays. There is no implicit
+broadcasting; shapes must match exactly except where an operation is
+explicitly defined otherwise (affine's bias, scale, the *_scalar helpers).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ def set_check_finite(enabled: bool) -> None:
 
 
 def grad_enabled() -> bool:
-    """False inside no_grad(): new nodes record no parents and no gradient rule."""
+    """False inside no_grad(): op results get no tape entry and no gradient rule."""
     return _grad_enabled
 
 
@@ -68,59 +72,121 @@ def sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-class Node:
-    """A value in the computation graph, with an optional gradient of the same shape."""
+class TapeEntry:
+    """One entry of the gradient tape, the graph that backward() walks.
 
-    __slots__ = ("value", "grad", "parents", "op", "trainable", "_backward", "__weakref__")
+    An entry holds links and never a value: parents (the entries of the op's
+    inputs), _backward (the rule that routes this entry's gradient to them),
+    grad (the gradient, while backward() runs), op (the op's name) and
+    trainable.
+    """
 
-    def __init__(self, value, parents=(), op="leaf", trainable=False):
-        self.value = as_tensor(value)
-        if _check_finite and not np.all(np.isfinite(self.value)):
-            raise FloatingPointError(f"non-finite values in '{op}' result")
+    __slots__ = ("grad", "parents", "op", "trainable", "_backward", "__weakref__")
+
+    def __init__(self, parents=(), op="leaf", trainable=False):
         self.grad = None
-        self.parents = tuple(parents) if _grad_enabled else ()
+        self.parents = parents
         self.op = op
         self.trainable = trainable
         self._backward = None
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    @property
     def needs_grad(self) -> bool:
-        """Parameters and interior nodes receive gradients, plain constants do not.
+        """Parameters and interior entries receive gradients, plain constants do not.
 
-        A parameter keeps its gradient after backward(); an interior node's is
+        A parameter keeps its gradient after backward(); an interior entry's is
         transient and released once its rule has run.
         """
         return self.trainable or bool(self.parents)
 
     def accumulate_grad(self, g, own: bool = False) -> None:
-        """Add g into this node's gradient. own=True donates a fresh buffer
-        that no other node references, avoiding a copy."""
+        """Add g into this entry's gradient. own=True donates a fresh buffer
+        that no other entry references, avoiding a copy."""
         if self.grad is None:
             self.grad = g if own else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
     def __repr__(self):
+        return f"TapeEntry(op={self.op!r}, parents={len(self.parents)}, trainable={self.trainable})"
+
+
+def _checked(value, op) -> Tensor:
+    value = as_tensor(value)
+    if _check_finite and not np.all(np.isfinite(value)):
+        raise FloatingPointError(f"non-finite values in '{op}' result")
+    return value
+
+
+class Node(TapeEntry):
+    """A value in the computation graph, and its tape entry.
+
+    A leaf (a constant or a parameter) is its own entry, and so is an op
+    result made under no_grad(), which is a detached constant. An op result
+    made in grad mode holds its value and a separate value-free entry, and the
+    results computed from it link to that entry. So the graph keeps the
+    leaves and the arrays that rules captured, and no other value: a value
+    that no rule reads is freed as soon as the caller drops its Node. Such a
+    Node's grad, parents, op, trainable and _backward are its entry's.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value, op="leaf", trainable=False):
+        super().__init__((), op, trainable)
+        self.value = _checked(value, op)
+
+    @property
+    def entry(self) -> TapeEntry:
+        """The tape entry that the results computed from this node link to."""
+        return self
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.value.shape
+
+    def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape}, trainable={self.trainable})"
 
 
-def set_backward(out: Node, backward) -> Node:
-    """Attach an op's gradient rule to its output node and return the node.
+def _on_entry(name):
+    return property(lambda node: getattr(node.entry, name), lambda node, v: setattr(node.entry, name, v))
 
-    backward(g) receives the output gradient and routes it to the op's
-    inputs. The node reaches the rule through a weak reference to itself,
-    so a graph holds no reference cycles: it is freed as soon as its last
-    outside reference goes, without waiting for the cyclic collector. Under
-    no_grad() the rule is dropped, and with it every array it holds.
+
+class _Result(Node):
+    """An op result made in grad mode: the value here, the links in entry."""
+
+    __slots__ = ("entry",)
+    grad, parents, op, trainable, _backward = map(_on_entry, ("grad", "parents", "op", "trainable", "_backward"))
+
+    def __init__(self, value, op, parents):
+        self.value = _checked(value, op)
+        self.entry = TapeEntry(parents, op)
+
+
+def record(value, op: str, inputs, rule) -> Node:
+    """An op's result Node, with the op's gradient rule on the tape in grad mode.
+
+    rule(g, *entries) routes the output gradient g to the op's inputs, which
+    it receives as their tape entries, in the order of inputs. It captures the
+    arrays it reads and never an input Node, so the inputs' values live on
+    only where a rule reads them. The entry hands the rule its own gradient
+    through a weak reference to itself, so a graph holds no reference cycles:
+    it is freed as soon as its last outside reference goes, without waiting
+    for the cyclic collector, and a rule runs also after the caller has
+    dropped the result Node. Under no_grad() no entry is made: the result is a
+    detached constant, and the rule goes with every array it holds.
     """
     if not _grad_enabled:
-        return out
-    ref = weakref.ref(out)
-    out._backward = lambda: backward(ref().grad)
+        return Node(value, op)
+    out = _Result(value, op, tuple(node.entry for node in inputs))
+    ref = weakref.ref(out.entry)
+
+    def run():
+        entry = ref()
+        rule(entry.grad, *entry.parents)
+
+    out.entry._backward = run
     return out
 
 
@@ -139,193 +205,185 @@ def _same_shape(op, a, b):
 
 def add(a: Node, b: Node) -> Node:
     _same_shape("add", a, b)
-    out = Node(a.value + b.value, (a, b), "add")
 
-    def backward(g):
+    def backward(g, a, b):
         if a.needs_grad:
             a.accumulate_grad(g)
         if b.needs_grad:
             b.accumulate_grad(g)
 
-    return set_backward(out, backward)
+    return record(a.value + b.value, "add", (a, b), backward)
 
 
 def sub(a: Node, b: Node) -> Node:
     _same_shape("sub", a, b)
-    out = Node(a.value - b.value, (a, b), "sub")
 
-    def backward(g):
+    def backward(g, a, b):
         if a.needs_grad:
             a.accumulate_grad(g)
         if b.needs_grad:
             b.accumulate_grad(-g, own=True)
 
-    return set_backward(out, backward)
+    return record(a.value - b.value, "sub", (a, b), backward)
 
 
 def mul(a: Node, b: Node) -> Node:
     _same_shape("mul", a, b)
-    out = Node(a.value * b.value, (a, b), "mul")
+    av, bv = a.value, b.value
 
-    def backward(g):
+    def backward(g, a, b):
         if a.needs_grad:
-            a.accumulate_grad(g * b.value, own=True)
+            a.accumulate_grad(g * bv, own=True)
         if b.needs_grad:
-            b.accumulate_grad(g * a.value, own=True)
+            b.accumulate_grad(g * av, own=True)
 
-    return set_backward(out, backward)
+    return record(av * bv, "mul", (a, b), backward)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
     """x @ w + b with the bias broadcast over rows."""
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
-        raise ValueError(f"affine: shape mismatch {x.value.shape} @ {w.value.shape}")
-    if b.value.shape != (w.value.shape[1],):
-        raise ValueError(f"affine: bias shape {b.value.shape} != ({w.value.shape[1]},)")
-    y = x.value @ w.value
+    xv, wv = x.value, w.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ValueError(f"affine: shape mismatch {xv.shape} @ {wv.shape}")
+    if b.value.shape != (wv.shape[1],):
+        raise ValueError(f"affine: bias shape {b.value.shape} != ({wv.shape[1]},)")
+    y = xv @ wv
     y += b.value
-    out = Node(y, (x, w, b), "affine")
 
-    def backward(g):
+    def backward(g, x, w, b):
         if x.needs_grad:
-            x.accumulate_grad(g @ w.value.T, own=True)
+            x.accumulate_grad(g @ wv.T, own=True)
         if w.needs_grad:
-            w.accumulate_grad(x.value.T @ g, own=True)
+            w.accumulate_grad(xv.T @ g, own=True)
         if b.needs_grad:
             b.accumulate_grad(g.sum(axis=0), own=True)
 
-    return set_backward(out, backward)
+    return record(y, "affine", (x, w, b), backward)
 
 
 def sigmoid(a: Node) -> Node:
     with np.errstate(over="ignore"):
         y = sigmoid_of_negated(np.negative(a.value, out=np.empty_like(a.value)))  # out= keeps 0-d an array
-    out = Node(y, (a,), "sigmoid")
 
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
             a.accumulate_grad(g * y * (1.0 - y), own=True)
 
-    return set_backward(out, backward)
+    return record(y, "sigmoid", (a,), backward)
 
 
 def relu(a: Node) -> Node:
-    out = Node(np.maximum(a.value, 0.0), (a,), "relu")
+    y = np.maximum(a.value, 0.0)
 
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
-            a.accumulate_grad(g * (a.value > 0.0), own=True)
+            a.accumulate_grad(g * (y > 0.0), own=True)  # y > 0 exactly where a > 0, NaN and -0.0 included
 
-    return set_backward(out, backward)
+    return record(y, "relu", (a,), backward)
 
 
 def log10(a: Node) -> Node:
     # domain: strictly positive values; out-of-domain inputs yield -inf/nan,
     # caught by the check-finite mode when enabled
+    av = a.value
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = Node(np.log10(a.value), (a,), "log10")
+        y = np.log10(av)
 
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
-            a.accumulate_grad(g / (a.value * np.log(10.0)), own=True)
+            a.accumulate_grad(g / (av * np.log(10.0)), own=True)
 
-    return set_backward(out, backward)
+    return record(y, "log10", (a,), backward)
 
 
 def mean(a: Node) -> Node:
-    out = Node(np.mean(a.value), (a,), "mean")
+    shape, size = a.value.shape, a.value.size
 
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
-            a.accumulate_grad(np.full_like(a.value, float(g) / a.value.size), own=True)
+            a.accumulate_grad(np.full(shape, float(g) / size), own=True)
 
-    return set_backward(out, backward)
+    return record(np.mean(a.value), "mean", (a,), backward)
 
 
 def dot(a: Node, b: Node) -> Node:
-    if a.value.ndim != 1 or b.value.ndim != 1 or a.value.shape != b.value.shape:
-        raise ValueError(f"dot: shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Node(np.dot(a.value, b.value), (a, b), "dot")
+    av, bv = a.value, b.value
+    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
+        raise ValueError(f"dot: shape mismatch {av.shape} vs {bv.shape}")
 
-    def backward(g):
+    def backward(g, a, b):
         g = float(g)
         if a.needs_grad:
-            a.accumulate_grad(g * b.value, own=True)
+            a.accumulate_grad(g * bv, own=True)
         if b.needs_grad:
-            b.accumulate_grad(g * a.value, own=True)
+            b.accumulate_grad(g * av, own=True)
 
-    return set_backward(out, backward)
+    return record(np.dot(av, bv), "dot", (a, b), backward)
 
 
 def narrow(a: Node, axis: int, start: int, stop: int) -> Node:
     """Contiguous slice [start:stop) along axis 0 or 1."""
-    if axis not in (0, 1) or axis >= a.value.ndim:
-        raise ValueError(f"narrow: bad axis {axis} for shape {a.value.shape}")
-    size = a.value.shape[axis]
-    if not (0 <= start < stop <= size):
-        raise ValueError(f"narrow: range [{start}, {stop}) invalid for axis {axis} of shape {a.value.shape}")
+    shape = a.value.shape
+    if axis not in (0, 1) or axis >= len(shape):
+        raise ValueError(f"narrow: bad axis {axis} for shape {shape}")
+    if not (0 <= start < stop <= shape[axis]):
+        raise ValueError(f"narrow: range [{start}, {stop}) invalid for axis {axis} of shape {shape}")
     sl = (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
-    out = Node(a.value[sl], (a,), "narrow")
 
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
             if a.grad is None:
-                a.grad = np.zeros_like(a.value)
+                a.grad = np.zeros(shape)
             a.grad[sl] += g
 
-    return set_backward(out, backward)
+    return record(a.value[sl], "narrow", (a,), backward)
 
 
 def concat(nodes: list[Node], axis: int = 0) -> Node:
     if not nodes:
         raise ValueError("concat: empty input list")
     sizes = [n.value.shape[axis] for n in nodes]
-    out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), "concat")
 
-    def backward(g):
+    def backward(g, *parts):
         offset = 0
-        for node, size in zip(nodes, sizes):
-            if node.needs_grad:
+        for part, size in zip(parts, sizes):
+            if part.needs_grad:
                 sl = (slice(offset, offset + size),) if axis == 0 else (slice(None), slice(offset, offset + size))
-                node.accumulate_grad(g[sl])
+                part.accumulate_grad(g[sl])
             offset += size
 
-    return set_backward(out, backward)
+    return record(np.concatenate([n.value for n in nodes], axis=axis), "concat", nodes, backward)
 
 
 def scale(a: Node, s: Node) -> Node:
     """Multiply a tensor by a scalar node."""
     if s.value.shape != ():
         raise ValueError(f"scale: scalar node must have shape (), got {s.value.shape}")
-    out = Node(a.value * float(s.value), (a, s), "scale")
+    av, sv = a.value, float(s.value)
 
-    def backward(g):
+    def backward(g, a, s):
         if a.needs_grad:
-            a.accumulate_grad(g * float(s.value), own=True)
+            a.accumulate_grad(g * sv, own=True)
         if s.needs_grad:
-            s.accumulate_grad(np.sum(g * a.value), own=True)
+            s.accumulate_grad(np.sum(g * av), own=True)
 
-    return set_backward(out, backward)
+    return record(av * sv, "scale", (a, s), backward)
 
 
 def add_scalar(a: Node, c: float) -> Node:
-    out = Node(a.value + c, (a,), "add_scalar")
-
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
             a.accumulate_grad(g)
 
-    return set_backward(out, backward)
+    return record(a.value + c, "add_scalar", (a,), backward)
 
 
 def mul_scalar(a: Node, c: float) -> Node:
-    out = Node(a.value * c, (a,), "mul_scalar")
-
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
             a.accumulate_grad(g * c, own=True)
 
-    return set_backward(out, backward)
+    return record(a.value * c, "mul_scalar", (a,), backward)
 
 
 def gather_rows(a: Node, start: int, step: int) -> Node:
@@ -334,27 +392,29 @@ def gather_rows(a: Node, start: int, step: int) -> Node:
     Backward adds the output gradient into rows start::step of a's gradient
     and leaves every other row as it was.
     """
-    if a.value.ndim != 2:
-        raise ValueError(f"gather_rows: 2-D input required, got shape {a.value.shape}")
-    if step < 1 or not 0 <= start < a.value.shape[0]:
-        raise ValueError(f"gather_rows: start {start}, step {step} invalid for {a.value.shape[0]} rows")
-    out = Node(a.value[start::step], (a,), "gather_rows")
+    shape = a.value.shape
+    if len(shape) != 2:
+        raise ValueError(f"gather_rows: 2-D input required, got shape {shape}")
+    if step < 1 or not 0 <= start < shape[0]:
+        raise ValueError(f"gather_rows: start {start}, step {step} invalid for {shape[0]} rows")
 
-    def backward(g):
+    def backward(g, a):
         if a.needs_grad:
             if a.grad is None:
-                a.grad = np.zeros_like(a.value)
+                a.grad = np.zeros(shape)
             a.grad[start::step] += g
 
-    return set_backward(out, backward)
+    return record(a.value[start::step], "gather_rows", (a,), backward)
 
 
-def _topo_order(root: Node) -> list[Node]:
+def _topo_order(root: Node) -> list[TapeEntry]:
+    """The tape entries reachable from root's entry, each after its parents."""
+    root = root.entry
     order = []
     visited = {id(root)}
     stack = [(root, iter(root.parents))]
     while stack:
-        node, parents = stack[-1]
+        entry, parents = stack[-1]
         advanced = False
         for p in parents:
             if id(p) not in visited:
@@ -363,7 +423,7 @@ def _topo_order(root: Node) -> list[Node]:
                 advanced = True
                 break
         if not advanced:
-            order.append(node)
+            order.append(entry)
             stack.pop()
     return order
 
@@ -371,11 +431,11 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(loss: Node) -> None:
     """Add the gradient of a scalar loss to the .grad of every parameter it depends on.
 
-    Nodes are visited in reverse topological order. An interior node's
-    gradient is transient: it is released as soon as the node's rule has
-    routed it to the inputs, so only parameters (trainable leaves) hold a
+    Tape entries are visited in reverse topological order. An interior
+    entry's gradient is transient: it is released as soon as the entry's rule
+    has routed it to the inputs, so only parameters (trainable leaves) hold a
     .grad when backward returns. Gradients accumulate additively across
-    fan-out and across repeated calls without clearing; each node keeps its
+    fan-out and across repeated calls without clearing; each entry keeps its
     rule, so backward on the same loss again adds one more full pass.
     Constants do not materialize a gradient; non-ancestors are untouched.
     """
@@ -386,20 +446,20 @@ def backward(loss: Node) -> None:
     order = _topo_order(loss)
     # set earlier parameter gradients aside and add them back at the end, so
     # a repeated call adds one whole pass, summed in the same order as the first
-    saved = [(node, node.grad) for node in order if node.trainable and node.grad is not None]
-    for node, _ in saved:
-        node.grad = None
-    loss.accumulate_grad(np.ones_like(loss.value), own=True)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
-        if not node.trainable:
-            node.grad = None
-    for node, old in saved:
-        if node.grad is None:
-            node.grad = old
+    saved = [(entry, entry.grad) for entry in order if entry.trainable and entry.grad is not None]
+    for entry, _ in saved:
+        entry.grad = None
+    loss.entry.accumulate_grad(np.ones_like(loss.value), own=True)
+    for entry in reversed(order):
+        if entry._backward is not None:
+            entry._backward()
+        if not entry.trainable:
+            entry.grad = None
+    for entry, old in saved:
+        if entry.grad is None:
+            entry.grad = old
         else:
-            node.grad += old
+            entry.grad += old
 
 
 class ParamStore:

@@ -98,20 +98,20 @@ def layer_norm_rows(x: Node, gain: Node, bias: Node) -> Node:
     var = np.mean(centered * centered, axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
-    out = Node(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm_rows")
+    gain_v = gain.value
 
-    def backward(g):
+    def backward(g, x, gain, bias):
         if gain.needs_grad:
             gain.accumulate_grad((g * xhat).sum(axis=0), own=True)
         if bias.needs_grad:
             bias.accumulate_grad(g.sum(axis=0), own=True)
         if x.needs_grad:
-            dxhat = g * gain.value
+            dxhat = g * gain_v
             m1 = dxhat.mean(axis=1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
             x.accumulate_grad(inv_std * (dxhat - m1 - xhat * m2), own=True)
 
-    return ad.set_backward(out, backward)
+    return ad.record(xhat * gain_v + bias.value, "layer_norm_rows", (x, gain, bias), backward)
 
 
 class LayerNorm:
@@ -230,9 +230,8 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
                 c, h = c_k, h_k
             out_fwd[s0 : s0 + n] = h_block[:n, 0]
             out_bwd[s0 : s0 + n] = h_block[:n, 1]
-    out = Node(out_value.reshape(steps * batch_size, 2 * hidden), (x, w_in, b, w_rec), "lstm_sequence")
 
-    def backward(g):
+    def backward(g, x, w_in, b, w_rec):
         sig_all, i_all, f_all, o_all, g_all = act[:, :3], act[:, 0], act[:, 1], act[:, 2], act[:, 3]
         g_out = g.reshape(steps, batch_size, 2 * hidden)
         g_h = np.empty((steps, 2, batch_size, hidden))
@@ -304,7 +303,7 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
             h_rows = h_rows.reshape(2, hidden, (steps - 1) * batch_size)
             w_rec.accumulate_grad(np.matmul(h_rows, d_rows).reshape(2 * hidden, h4), own=True)
 
-    return ad.set_backward(out, backward)
+    return ad.record(out_value.reshape(steps * batch_size, 2 * hidden), "lstm_sequence", (x, w_in, b, w_rec), backward)
 
 
 class BiLstmLayer:
@@ -377,16 +376,15 @@ def overlap_add_frames(frames: Node, hop: int, original_len: int) -> Node:
     padded = (num - 1) * hop + frame_len
     if not (1 <= original_len <= padded):
         raise ValueError(f"overlap_add_frames: original_len {original_len} outside (0, {padded}]")
-    out = Node(_overlap_add_padded(frames.value, hop)[:original_len], (frames,), "overlap_add_frames")
 
-    def backward(g):
+    def backward(g, frames):
         if frames.needs_grad:
             g_padded = np.zeros(padded)
             g_padded[:original_len] = g
             g_padded /= overlap_count(num, frame_len, hop)
             frames.accumulate_grad(_windows(g_padded, frame_len, hop), own=True)
 
-    return ad.set_backward(out, backward)
+    return ad.record(_overlap_add_padded(frames.value, hop)[:original_len], "overlap_add_frames", (frames,), backward)
 
 
 def _sdr_node(target: np.ndarray, output: Node) -> Node:

@@ -254,7 +254,7 @@ def train(model: FurcaNet, train_set, dev_set, cfg: TrainConfig, out_dir=None) -
                 raise FloatingPointError(f"train: non-finite loss {float(loss.value)} at epoch {epoch}, step {step}")
             ad.backward(loss)
             losses.append(float(loss.value))
-            del loss  # frees this step's graph before the next batch_loss builds one
+            del loss  # its tape holds every array the rules captured; free it before the next graph
             state.learning_rate = lr
             adam_step(model.params, state)
         dev_loss = -mean_dev_sdr(model, dev_set)

@@ -61,6 +61,15 @@ class TestPrimitiveGradients:
         err = grad_check(lambda p: ad.mean(ad.relu(p["x"])), params)
         assert err < 1e-4
 
+    def test_relu_mask_matches_input_sign_bit_for_bit(self):
+        # the rule masks by its output; y > 0 must equal a > 0 on every input,
+        # the signed zeros, a subnormal, the infinities and NaN included
+        a = parameter(np.array([-1.0, -0.0, 0.0, 5e-324, 1.0, np.inf, -np.inf, np.nan]))
+        g = np.array([0.5, -1.5, 2.0, -3.0, 4.0, -5.0, 6.0, -7.0])
+        with np.errstate(invalid="ignore"):
+            backward(ad.dot(ad.relu(a), constant(g)))
+        assert a.grad.tobytes() == (g * (a.value > 0)).tobytes()
+
     def test_log10_gradient(self):
         params = ParamStore()
         params.add("x", np.array([0.5, 1.0, 3.0, 10.0]))

@@ -4,8 +4,9 @@
 The test pins the number of graph nodes per op reachable from the loss, the
 parameter and constant leaves, and bounds the bytes the live graph holds under
 tracemalloc. Node counts are exact. The byte bound sits about 0.7 MiB above
-the measured 43.8 MiB, so one more [T*B x 128] float64 array kept alive
-(1592 x 128 x 8 bytes = 1.55 MiB at this batch) fails it.
+the measured 33.9 MiB, so one more [T*B x 128] float64 array kept alive
+(1592 x 128 x 8 bytes = 1.55 MiB at this batch) fails it, and so does any
+intermediate value that no gradient rule reads but the graph still holds.
 
 A change that alters the graph on purpose prints the new table with
 
@@ -51,7 +52,7 @@ NODES = {
 }
 PARAMETERS = 48
 CONSTANTS = 17
-HELD_MIB_BOUND = 44.5  # measured 43.80-43.83 MiB
+HELD_MIB_BOUND = 34.6  # measured 33.87 MiB
 # --- end of recorded census ---
 
 

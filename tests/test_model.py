@@ -575,3 +575,36 @@ class TestGraphLifetime:
             assert [r().op for r in refs if r() is not None] == []
         finally:
             gc.enable()
+
+    def test_values_no_rule_reads_are_not_kept(self, monkeypatch):
+        # no gradient rule reads the gate and dense pre-activations, the GLU
+        # products, the head output (the gather_rows views' base) or the SDR
+        # scale results, so they go with their nodes while the loss lives
+        refs = {}
+
+        def spy(module, name, role, held):
+            inner = getattr(module, name)
+
+            def wrapped(*args):
+                out = inner(*args)
+                refs.setdefault(role, []).append(weakref.ref(held(args[0], out)))
+                return out
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(ad, "sigmoid", "gate pre-activation", lambda x, out: x.value)
+        spy(ad, "relu", "dense pre-activation", lambda x, out: x.value)
+        spy(layers_module, "layer_norm_rows", "GLU product", lambda x, out: x.value)
+        spy(ad, "gather_rows", "head output", lambda x, out: x.value)
+        spy(ad, "scale", "scale result", lambda x, out: out.value)
+        model = build(TINY)
+        gc.disable()
+        try:
+            loss = batch_loss(model, [random_example(40), random_example(41)])
+            alive = {role: sum(r() is not None for r in rs) for role, rs in refs.items()}
+        finally:
+            gc.enable()
+        assert alive == dict.fromkeys(("gate pre-activation", "dense pre-activation", "GLU product",
+                                       "head output", "scale result"), 0)
+        ad.backward(loss)
+        assert all(node.grad is not None and np.all(np.isfinite(node.grad)) for node in model.params.nodes())
