@@ -52,10 +52,13 @@ MUTANTS = [
      None),
     # the non-finite loss check before backward and Adam
     ("src/furcasep/training.py", "if not np.isfinite(loss.value):", "if False:", None),
-    # lstm_sequence: BPTT's tanh(c) recomputed from the wrong step, the backward
+    # lstm_sequence: BPTT's cell recompute starting every block from the first
+    # block's entry cell, a full-length cell buffer in grad mode, the backward
     # direction's hidden history off by one step, a projection block without
     # its bias or with the backward direction's rows left in time order
-    ("src/furcasep/layers.py", "np.tanh(cell[s], out=tanh_s)", "np.tanh(cell[s - 1], out=tanh_s)", None),
+    ("src/furcasep/layers.py", "cells[0] = c_entry[s0 // block]", "cells[0] = c_entry[0]", None),
+    ("src/furcasep/layers.py", "cell = np.empty((block, 2, batch_size, hidden))",
+     "cell = np.empty((span, 2, batch_size, hidden))", None),
     ("src/furcasep/layers.py", "out_value[:0:-1, :, hidden:]", "out_value[-2::-1, :, hidden:]", None),
     ("src/furcasep/layers.py", "p += b_v[d * h4 : (d + 1) * h4]", "p += b_v[d * h4 : (d + 1) * h4] if d == 0 else 0.0",
      None),

@@ -133,7 +133,7 @@ class Node(TapeEntry):
     __slots__ = ("value",)
 
     def __init__(self, value, op="leaf", trainable=False):
-        super().__init__((), op, trainable)
+        TapeEntry.__init__(self, (), op, trainable)
         self.value = _checked(value, op)
 
     @property
@@ -179,7 +179,7 @@ def record(value, op: str, inputs, rule) -> Node:
     """
     if not _grad_enabled:
         return Node(value, op)
-    out = _Result(value, op, tuple(node.entry for node in inputs))
+    out = _Result(value, op, tuple([node.entry for node in inputs]))
     ref = weakref.ref(out.entry)
 
     def run():

@@ -22,10 +22,11 @@ LSTM_BLOCK_STEPS steps at a time straight into its gate cache, so no
 gate-major, [gate, direction, batch, H], so every elementwise op works on a
 contiguous block. The i/f/o weights and inputs are negated once per call,
 which is exact, so the sigmoid is exp, +1 and reciprocal with no per-step
-negation. In grad mode only the gates and the cell span every step: tanh(c)
-is recomputed in backpropagation through time and the hidden states are read
-back from the output. Forward-only passes (ad.no_grad()) keep one block of
-every step buffer.
+negation. In grad mode only the gates span every step, and the cell is kept
+once per block, as the cell entering it: backpropagation through time
+recomputes each block's cells and tanh(c) and reads the hidden states back
+from the output. Forward-only passes (ad.no_grad()) keep one block of every
+step buffer.
 """
 
 from __future__ import annotations
@@ -148,20 +149,25 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
     which is exact, so the sigmoid needs no per-step negation.
 
     Cache policy: in grad mode the gate cache (projected input, then the
-    post-activation gates) and the cell state span every step; with the
-    output, they are all that backpropagation through time keeps. tanh(c) and
-    the hidden state live in one-block buffers, and under ad.no_grad() so do
-    the gates and the cell.
+    post-activation gates) spans every step; with the output and the cell
+    entering each block ([ceil(T/LSTM_BLOCK_STEPS), 2, B, H]), it is all that
+    backpropagation through time keeps. The cell, tanh(c) and the hidden state
+    live in one-block buffers in both modes, and under ad.no_grad() so do the
+    gates.
 
-    Backward is hand-rolled BPTT over those caches. It recomputes tanh(c_s)
-    from the cell cache, and forms each step's gate-derivative factors in the
-    reverse loop in small scratch buffers that belong to the one backward
-    call. The gate gradients land in a direction-major [direction, step,
-    batch, 4H] array and are laid out once as the [T*B x 8H] pre-activation
-    gradient, from which x, w_in and b get affine's three products. The dh
-    recurrence and the recurrent weight gradient are single 4H-wide GEMMs per
-    direction; the latter runs after the loop and reads h_{s-1} from the
-    output (time-reversed for the backward direction).
+    Backward is hand-rolled BPTT over those caches. At the start of each block
+    of its reverse loop it recomputes the block's cells from the block's entry
+    cell, c_s = i*g + f*c_{s-1}, the forward's expressions in its order (i*g
+    for the whole block in one call), so they match bit for bit and one block
+    of cells exists at a time. It takes tanh(c_s) from those cells, and forms
+    each step's gate-derivative factors in the reverse loop in small scratch
+    buffers that belong to the one backward call. The gate gradients land in
+    a direction-major [direction, step, batch, 4H] array and are laid out once
+    as the [T*B x 8H] pre-activation gradient, from which x, w_in and b get
+    affine's three products. The dh recurrence and the recurrent weight
+    gradient are single 4H-wide GEMMs per direction; the latter runs after the
+    loop and reads h_{s-1} from the output (time-reversed for the backward
+    direction).
     """
     xv, w_in_v, b_v, w_rec_v = x.value, w_in.value, b.value, w_rec.value
     if xv.ndim != 2 or w_in_v.ndim != 2 or w_rec_v.ndim != 2:
@@ -185,12 +191,12 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
     u_gate = u.reshape(2, hidden, 4, hidden).transpose(2, 0, 1, 3).copy()  # [gate, direction, H, H]
     u_gate[:3] *= -1.0
     block = min(steps, LSTM_BLOCK_STEPS)
-    # step-major caches [step, gate, direction, batch, H]; the gates and the
-    # cell span every step in grad mode, the rest holds one block that the
-    # loop refills
+    # step-major caches [step, gate, direction, batch, H]; the gates span
+    # every step in grad mode, the rest holds one block that the loop refills
     span = steps if ad.grad_enabled() else block
     act = np.empty((span, 4, 2, batch_size, hidden))  # projected input, then post-activation gates
-    cell = np.empty((span, 2, batch_size, hidden))
+    c_entry = np.empty((-(-steps // block), 2, batch_size, hidden))  # the cell entering each block
+    cell = np.empty((block, 2, batch_size, hidden))
     tanh_c = np.empty((block, 2, batch_size, hidden))
     h_block = np.empty_like(tanh_c)
     proj = np.empty((block * batch_size, h4))
@@ -206,6 +212,7 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
             n = min(block, steps - s0)
             k = s0 % span  # the block's first cache row: s0 if the caches span every step, else 0
             act_k = act[k : k + n]
+            c_entry[s0 // block] = c
             # (direction, first time of the block's rows of x, their order in steps)
             for d, t0, order in ((0, s0, slice(None)), (1, steps - s0 - n, slice(None, None, -1))):
                 p = proj[: n * batch_size]
@@ -215,7 +222,7 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
                 np.negative(p[:, :3], out=act_k[:, :3, d])
                 act_k[:, 3, d] = p[:, 3]
             for a, sig, i, f, o, g, c_k, tanh_k, h_k in zip(
-                act_k, act_k[:, :3], act_k[:, 0], act_k[:, 1], act_k[:, 2], act_k[:, 3], cell[k : k + n],
+                act_k, act_k[:, :3], act_k[:, 0], act_k[:, 1], act_k[:, 2], act_k[:, 3], cell[:n],
                 tanh_c[:n], h_block[:n]
             ):
                 np.matmul(h, u_gate, out=rec)
@@ -255,14 +262,27 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
         dc = np.empty_like(pre_o)
         dh_next = np.zeros_like(pre_o)
         dc_next = np.zeros_like(pre_o)
+        # one block of cells, recomputed from the block's entry cell: row
+        # k + 1 holds c at step s0 + k, row 0 the entry cell
+        cells = np.empty((block + 1, 2, batch_size, hidden))
         for s in reversed(range(steps)):
+            k = s % block
+            if s == steps - 1 or k == block - 1:
+                # the forward's c_s = i*g + f*c_{s-1}, in its order (i*g for
+                # the whole block first; the sum is commutative)
+                s0 = s - k
+                cells[0] = c_entry[s0 // block]
+                np.multiply(i_all[s0 : s + 1], g_all[s0 : s + 1], out=cells[1 : k + 2])
+                for j in range(k + 1):
+                    np.multiply(f_all[s0 + j], cells[j], out=tmp)
+                    cells[j + 1] += tmp
             sig, g_s = sig_all[s], g_all[s]
-            np.tanh(cell[s], out=tanh_s)
+            np.tanh(cells[k + 1], out=tanh_s)
             np.multiply(sig, sig, out=d_sig)
             np.subtract(sig, d_sig, out=d_sig)
             np.multiply(g_s, d_sig[0], out=local[:, :, 0])
             if s:
-                np.multiply(cell[s - 1], d_sig[1], out=local[:, :, 1])
+                np.multiply(cells[k], d_sig[1], out=local[:, :, 1])
             else:
                 local[:, :, 1] = 0.0
             np.multiply(g_s, g_s, out=tmp)
@@ -316,9 +336,9 @@ class BiLstmLayer:
     lstm_sequence (three concat nodes: w_in side by side, b end to end, w_rec
     forward rows over backward rows) and makes one lstm_sequence call on the
     layer input, which projects it inside the op; the graph keeps the output,
-    the gates and the cell, not a pre-activation. The biases start at 0.0
-    with the forget-gate columns at 1.0; the weights are drawn by the uniform
-    fan-in rule.
+    the gates and one entry cell per block, not a pre-activation or every
+    step's cell. The biases start at 0.0 with the forget-gate columns at 1.0;
+    the weights are drawn by the uniform fan-in rule.
     """
 
     DIRECTIONS = ("fwd", "bwd")

@@ -316,55 +316,70 @@ class TestLstmSequence:
             tracemalloc.stop()
         assert peak - out.value.nbytes < pre_bytes / 4
 
-    def test_grad_mode_keeps_gates_and_cell_only(self):
+    def test_grad_mode_keeps_gates_and_entry_cells_only(self):
         # with the output node alive, a grad-mode BiLSTM layer keeps its
-        # output, the [T x 8H] gate cache and the [T x 2H] cell cache; the
-        # one-block buffers (tanh(c), hidden state, projection) are the slack,
-        # and they cover the stacked weights. Keeping the pre-activation, or
-        # full tanh(c) and hidden caches, would exceed it.
-        steps, batch, features, hidden = 3 * BLOCK + 5, 2, 8, 16
-        params = ParamStore()
-        layer = ly.BiLstmLayer(params, "lstm", features, hidden)
-        params.reset(np.random.default_rng(302))
-        x = constant(np.random.default_rng(303).normal(size=(steps * batch, features)))
-        tracemalloc.start()
-        try:
-            out = layer.forward(x, batch_size=batch)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        gates = steps * batch * 8 * hidden * 8
-        cell = steps * batch * 2 * hidden * 8
-        one_block = BLOCK * batch * (2 * hidden + 2 * hidden + 4 * hidden) * 8
-        assert out.value.nbytes == cell
-        assert kept <= out.value.nbytes + gates + cell + one_block
+        # output, the [T x 8H] gate cache and the cell entering each block;
+        # one block of step buffers (cell, tanh(c), hidden state, projection)
+        # is the slack, and it covers the stacked weights. Beyond those
+        # T-sized terms nothing grows with T, kept or at the peak, so a
+        # [T x 2H] cell cache fails even if only the forward allocates it.
+        batch, features, hidden = 2, 8, 16
+        one_block = BLOCK * batch * (2 * hidden + 2 * hidden + 2 * hidden + 4 * hidden) * 8
+        extra = []
+        for steps in (3 * BLOCK + 5, 8 * BLOCK + 5):
+            params = ParamStore()
+            layer = ly.BiLstmLayer(params, "lstm", features, hidden)
+            params.reset(np.random.default_rng(302))
+            x = constant(np.random.default_rng(303).normal(size=(steps * batch, features)))
+            tracemalloc.start()
+            try:
+                out = layer.forward(x, batch_size=batch)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            gates = steps * batch * 8 * hidden * 8
+            entry_cells = -(-steps // BLOCK) * batch * 2 * hidden * 8
+            assert out.value.nbytes == steps * batch * 2 * hidden * 8
+            held = out.value.nbytes + gates + entry_cells
+            assert kept <= held + one_block
+            extra.append((kept - held, peak - held))
+        cell_growth = 5 * BLOCK * batch * 2 * hidden * 8  # a [T x 2H] cache's growth from 3 to 8 blocks
+        (kept_short, peak_short), (kept_long, peak_long) = extra
+        assert kept_long - kept_short < cell_growth / 4
+        assert peak_long - peak_short < cell_growth / 4
 
     def test_gradients(self):
-        rng = np.random.default_rng(101)
-        params = ParamStore()
-        for name, value in zip(("x", "w_in", "b", "w_rec"), lstm_inputs(rng, 4, 2, 3)):
-            params.add(name, value)
-        weights = constant(rng.normal(size=(4 * 2, 2 * 3)))
+        # (seed, steps, batch, hidden, features): within one block, and one
+        # step past a block, where BPTT recomputes the one-step last block's
+        # cells from the cell that entered it
+        for seed, steps, batch, hidden, features in ((101, 4, 2, 3, 3), (106, BLOCK + 1, 2, 2, 2)):
+            rng = np.random.default_rng(seed)
+            params = ParamStore()
+            for name, value in zip(("x", "w_in", "b", "w_rec"), lstm_inputs(rng, steps, batch, hidden, features)):
+                params.add(name, value)
+            weights = constant(rng.normal(size=(steps * batch, 2 * hidden)))
 
-        def f(p):
-            out = ly.lstm_sequence(p["x"], p["w_in"], p["b"], p["w_rec"], 4, 2)
-            return ad.mean(ad.mul(out, weights))
+            def f(p):
+                out = ly.lstm_sequence(p["x"], p["w_in"], p["b"], p["w_rec"], steps, batch)
+                return ad.mean(ad.mul(out, weights))
 
-        assert grad_check(f, params) < 1e-4
+            assert grad_check(f, params) < 1e-4
 
     def test_repeated_backward_doubles_gradients(self):
-        rng = np.random.default_rng(102)
-        steps, batch, hidden = 9, 3, 4
-        operands = [ad.parameter(v) for v in lstm_inputs(rng, steps, batch, hidden)]
-        weights = constant(rng.normal(size=(steps * batch, 2 * hidden)))
-        out = ly.lstm_sequence(*operands, steps, batch)
-        loss = ad.mean(ad.mul(out, weights))
-        backward(loss)
-        first = [node.grad.copy() for node in operands]
-        assert out.grad is None
-        backward(loss)
-        for node, grad in zip(operands, first):
-            assert np.array_equal(node.grad, 2 * grad)
+        # the second case has three whole blocks and a partial one: the second
+        # pass recomputes every block's cells again from the same entry cells
+        for seed, steps, batch, hidden, features in ((102, 9, 3, 4, 3), (107, 3 * BLOCK + 5, 2, 3, 2)):
+            rng = np.random.default_rng(seed)
+            operands = [ad.parameter(v) for v in lstm_inputs(rng, steps, batch, hidden, features)]
+            weights = constant(rng.normal(size=(steps * batch, 2 * hidden)))
+            out = ly.lstm_sequence(*operands, steps, batch)
+            loss = ad.mean(ad.mul(out, weights))
+            backward(loss)
+            first = [node.grad.copy() for node in operands]
+            assert out.grad is None
+            backward(loss)
+            for node, grad in zip(operands, first):
+                assert np.array_equal(node.grad, 2 * grad)
 
     def test_wrong_pre_shape_rejected(self):
         # operands whose projection x @ w_in + b is not [T*B x 8H]
