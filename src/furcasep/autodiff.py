@@ -490,6 +490,8 @@ class ParamStore:
         return node
 
     def _adopt(self, vec: np.ndarray, fill: bool) -> None:
+        """Make vec, a float64 vector of total_size, the parameter vector without copying it; with fill,
+        the current values are copied into it first. model.load_checkpoint hands it the vector it read."""
         offset = 0
         for node in self._params.values():
             view = vec[offset : offset + node.value.size].reshape(node.value.shape)
@@ -536,14 +538,11 @@ class ParamStore:
         return self.values.copy()
 
     def load_flat_values(self, vec: np.ndarray) -> None:
-        """Copy vec into values; a store not yet used adopts a copy of vec as its vector."""
+        """Copy vec into values."""
         vec = as_tensor(vec).reshape(-1)
         if vec.size != self.total_size:
             raise ValueError(f"load_flat_values: got {vec.size} values, store holds {self.total_size}")
-        if self._values is None:
-            self._adopt(np.array(vec, dtype=np.float64), fill=False)
-        else:
-            np.copyto(self._values, vec)
+        np.copyto(self.values, vec)
 
 
 def grad_check(f, params: ParamStore, epsilon: float = 1e-5, coords_per_param: int | None = None, seed: int = 0) -> float:

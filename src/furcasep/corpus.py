@@ -124,37 +124,55 @@ class Manifest:
 
     @classmethod
     def load(cls, manifest_path) -> "Manifest":
+        """Read a manifest; a line that is not JSON, or lacks a key, raises CorpusError naming the line."""
         manifest_path = Path(manifest_path)
+        lines = []  # (line number, entry) per non-blank line
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("kind") != "corpus_meta":
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        lines.append((number, json.loads(line)))
+                    except json.JSONDecodeError as exc:
+                        raise CorpusError(f"{manifest_path}: line {number}: not JSON ({exc})") from exc
+        if not lines or lines[0][1].get("kind") != "corpus_meta":
             raise CorpusError(f"{manifest_path}: missing corpus_meta header line")
-        meta = lines[0]
+
+        def missing(number, exc):
+            return CorpusError(f"{manifest_path}: line {number}: missing key {exc}")
+
         records = []
         seen = set()
-        for entry in lines[1:]:
+        for number, entry in lines[1:]:
             if entry.get("kind") != "example":
                 continue
-            if entry["example_id"] in seen:
-                raise CorpusError(f"{manifest_path}: duplicate example_id {entry['example_id']}")
-            seen.add(entry["example_id"])
-            records.append(ManifestRecord(
-                example_id=entry["example_id"],
-                mixture_path=entry["mixture"],
-                source_paths=tuple(entry["sources"]),
-                snr_db=float(entry["snr_db"]),
-                seed=int(entry["seed"]),
-            ))
-        return cls(
-            root=manifest_path.parent,
-            sample_rate_hz=int(meta["sample_rate_hz"]),
-            num_sources=int(meta["num_sources"]),
-            snr_min_db=float(meta["snr_min_db"]),
-            snr_max_db=float(meta["snr_max_db"]),
-            seed=int(meta["seed"]),
-            generator_version=str(meta["generator_version"]),
-            records=records,
-        )
+            try:
+                record = ManifestRecord(
+                    example_id=entry["example_id"],
+                    mixture_path=entry["mixture"],
+                    source_paths=tuple(entry["sources"]),
+                    snr_db=float(entry["snr_db"]),
+                    seed=int(entry["seed"]),
+                )
+            except KeyError as exc:
+                raise missing(number, exc) from exc
+            if record.example_id in seen:
+                raise CorpusError(f"{manifest_path}: duplicate example_id {record.example_id}")
+            seen.add(record.example_id)
+            records.append(record)
+        number, meta = lines[0]
+        try:
+            return cls(
+                root=manifest_path.parent,
+                sample_rate_hz=int(meta["sample_rate_hz"]),
+                num_sources=int(meta["num_sources"]),
+                snr_min_db=float(meta["snr_min_db"]),
+                snr_max_db=float(meta["snr_max_db"]),
+                seed=int(meta["seed"]),
+                generator_version=str(meta["generator_version"]),
+                records=records,
+            )
+        except KeyError as exc:
+            raise missing(number, exc) from exc
 
 
 def synth_speaker(profile: SpeakerProfile, duration_s: float, sample_rate_hz: int) -> Waveform:

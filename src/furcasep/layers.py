@@ -167,7 +167,10 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
     affine's three products. The dh recurrence and the recurrent weight
     gradient are single 4H-wide GEMMs per direction; the latter runs after the
     loop and reads h_{s-1} from the output (time-reversed for the backward
-    direction).
+    direction). Each large array goes once its last reader has run: the
+    output gradient's copy after the loop, then h_{s-1}'s after the recurrent
+    weight GEMM, which runs before the pre-activation gradient is laid out,
+    and the gate gradients once they are.
     """
     xv, w_in_v, b_v, w_rec_v = x.value, w_in.value, b.value, w_rec.value
     if xv.ndim != 2 or w_in_v.ndim != 2 or w_rec_v.ndim != 2:
@@ -300,18 +303,8 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
             np.multiply(dh, pre_o, out=da[:, :, 2, :])
             np.matmul(da.reshape(2, batch_size, h4), u_t, out=dh_next)
             np.multiply(dc, f_all[s], out=dc_next)
+        del g_h, da  # each array goes once its last reader has run
         d_act = d_act.reshape(2, steps, batch_size, h4)
-        if x.needs_grad or w_in.needs_grad or b.needs_grad:
-            d_pre = np.empty((steps, batch_size, 8 * hidden))
-            d_pre[:, :, :h4] = d_act[0]
-            d_pre[:, :, h4:] = d_act[1, ::-1]
-            d_pre = d_pre.reshape(steps * batch_size, 8 * hidden)
-            if x.needs_grad:
-                x.accumulate_grad(d_pre @ w_in_v.T, own=True)
-            if w_in.needs_grad:
-                w_in.accumulate_grad(xv.T @ d_pre, own=True)
-            if b.needs_grad:
-                b.accumulate_grad(d_pre.sum(axis=0), own=True)
         if w_rec.needs_grad:
             # sum over steps s >= 1 of h_{s-1}^T @ da_s (h_{-1} = 0), one GEMM
             # per direction; h_{s-1} is the output at time s-1 (forward
@@ -322,6 +315,19 @@ def lstm_sequence(x: Node, w_in: Node, b: Node, w_rec: Node, num_steps: int, bat
             d_rows = d_act[:, 1:].reshape(2, (steps - 1) * batch_size, h4)
             h_rows = h_rows.reshape(2, hidden, (steps - 1) * batch_size)
             w_rec.accumulate_grad(np.matmul(h_rows, d_rows).reshape(2 * hidden, h4), own=True)
+            del h_rows, d_rows
+        if x.needs_grad or w_in.needs_grad or b.needs_grad:
+            d_pre = np.empty((steps, batch_size, 8 * hidden))
+            d_pre[:, :, :h4] = d_act[0]
+            d_pre[:, :, h4:] = d_act[1, ::-1]
+            del d_act
+            d_pre = d_pre.reshape(steps * batch_size, 8 * hidden)
+            if x.needs_grad:
+                x.accumulate_grad(d_pre @ w_in_v.T, own=True)
+            if w_in.needs_grad:
+                w_in.accumulate_grad(xv.T @ d_pre, own=True)
+            if b.needs_grad:
+                b.accumulate_grad(d_pre.sum(axis=0), own=True)
 
     return ad.record(out_value.reshape(steps * batch_size, 2 * hidden), "lstm_sequence", (x, w_in, b, w_rec), backward)
 

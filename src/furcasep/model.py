@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -217,46 +218,63 @@ def save_checkpoint(model: FurcaNet, path) -> None:
         raise
 
 
+def _fill(fh, buffer, path):
+    """Read into all of buffer; a file that ends early raises CheckpointError."""
+    view = memoryview(buffer).cast("B")
+    got = fh.readinto(view)
+    if got != view.nbytes:
+        raise CheckpointError(f"{path}: read {got} of {view.nbytes} bytes, the file changed while it was read")
+    return buffer
+
+
 def load_checkpoint(path) -> FurcaNet:
     """Read a checkpoint written by save_checkpoint; any damage raises CheckpointError.
 
-    One pass: the file is read once; the CRC, the header and the parameter
-    block are all read through views of that one buffer. The network is
-    wired without drawing initial values, and the parameter block is copied
-    once, into the vector the parameters view, so a load peaks at about
-    twice the file size.
+    One pass and one copy of the weights: the fixed header and the config
+    block (with the count after it) are read as bytes, each length bounded by
+    the file size from os.fstat, and the parameter block is read straight into
+    a fresh float64 vector the size of the file's block, with one running
+    CRC32 over everything before the footer. The checks then run in a fixed
+    order: checksum, magic, version, config, parameter count, block length.
+    Only once all pass does the network, wired without drawing initial values,
+    adopt that vector as its parameter vector, without a copy, so a load
+    peaks at about the file size.
     """
+    magic_len = len(CHECKPOINT_MAGIC)
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(CHECKPOINT_MAGIC) + 12:
-        raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    body = memoryview(data)[:-4]
-    (stored_crc,) = struct.unpack_from("<I", data, len(body))
-    if zlib.crc32(body) != stored_crc:
+        size = os.fstat(fh.fileno()).st_size
+        if size < magic_len + 12:
+            raise CheckpointError(f"{path}: file too short to be a checkpoint")
+        head = _fill(fh, bytearray(magic_len + 8), path)  # magic, version, config length
+        version, cfg_len = struct.unpack_from("<II", head, magic_len)
+        # the config block and the count after it, cut short where the file ends
+        meta = _fill(fh, bytearray(min(cfg_len + 8, size - len(head) - 4)), path)
+        block_len = size - len(head) - len(meta) - 4
+        values = _fill(fh, np.empty(block_len // 8), path)
+        rest = _fill(fh, bytearray(block_len % 8), path)  # a block that is no whole number of values
+        (stored_crc,) = struct.unpack("<I", _fill(fh, bytearray(4), path))
+    crc = zlib.crc32(rest, zlib.crc32(values, zlib.crc32(meta, zlib.crc32(head))))
+    if crc != stored_crc:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
-    if body[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    if head[:magic_len] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    offset = len(CHECKPOINT_MAGIC)
-    version, cfg_len = struct.unpack_from("<II", body, offset)  # within the length checked above
-    offset += 8
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    if len(body) - offset < cfg_len + 8:
+    if len(meta) < cfg_len + 8:
         raise CheckpointError(f"{path}: file ends inside the {cfg_len}-byte config block or the count after it")
     try:
-        cfg = ModelConfig.from_dict(json.loads(bytes(body[offset : offset + cfg_len]).decode("utf-8")))
+        cfg = ModelConfig.from_dict(json.loads(meta[:cfg_len].decode("utf-8")))
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
-    offset += cfg_len
-    (count,) = struct.unpack_from("<Q", body, offset)
-    offset += 8
+    (count,) = struct.unpack_from("<Q", meta, cfg_len)
     model = FurcaNet._unfilled(cfg)
     if count != model.params.total_size:
         raise CheckpointError(
             f"{path}: parameter count {count} does not match config ({model.params.total_size})"
         )
-    blob = body[offset:]
-    if len(blob) != 8 * count:
-        raise CheckpointError(f"{path}: parameter block has {len(blob)} bytes, expected {8 * count}")
-    model.params.load_flat_values(np.frombuffer(blob, dtype="<f8"))
+    if block_len != 8 * count:
+        raise CheckpointError(f"{path}: parameter block has {block_len} bytes, expected {8 * count}")
+    if sys.byteorder == "big":
+        values.byteswap(inplace=True)  # the file is little-endian; the CRC was taken over its bytes
+    model.params._adopt(values, fill=False)
     return model

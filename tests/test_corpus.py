@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,31 @@ class TestLoadCorpus:
         bad.write_text('{"kind": "example"}\n')
         with pytest.raises(CorpusError, match="corpus_meta"):
             Manifest.load(bad)
+
+    def test_line_missing_a_key_names_file_line_and_key(self, tmp_path):
+        manifest = generate_corpus(2, 2, 0.5, 0.0, 5.0, seed=9, out_dir=tmp_path)
+        lines = manifest.path.read_text().splitlines()
+        entry = json.loads(lines[2])
+        del entry["sources"]
+        lines[2] = json.dumps(entry)
+        manifest.path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError) as info:
+            Manifest.load(manifest.path)
+        assert str(info.value) == f"{manifest.path}: line 3: missing key 'sources'"
+        meta = json.loads(lines[0])
+        del meta["seed"]
+        lines[0] = json.dumps(meta)
+        lines[2] = json.dumps({**entry, "sources": []})
+        manifest.path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match=r": line 1: missing key 'seed'$"):
+            Manifest.load(manifest.path)
+
+    def test_truncated_line_names_file_and_line(self, tmp_path):
+        manifest = generate_corpus(2, 2, 0.5, 0.0, 5.0, seed=10, out_dir=tmp_path)
+        text = manifest.path.read_text()
+        manifest.path.write_text(text[: len(text) - 20])  # the last example line, cut inside its JSON
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(manifest.path))}: line 3: not JSON \("):
+            Manifest.load(manifest.path)
 
 
 class TestSpectralSeparability:
