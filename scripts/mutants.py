@@ -78,9 +78,11 @@ MUTANTS = [
      None),
     ("src/furcasep/layers.py", "np.repeat([0.0, 1.0, 0.0, 0.0], hidden_size)",
      "np.repeat([0.0, 0.0, 0.0, 0.0], hidden_size)", None),
-    # flat Adam: a scratch vector aliased with the first moment, the no-gradient check removed
-    ("src/furcasep/training.py", "self.scratch = np.empty(params.total_size)", "self.scratch = self.m", None),
+    # Adam: moments updated in copies of their views, the no-gradient check removed
+    ("src/furcasep/training.py", "g = node.grad", "g, m, v = node.grad, m.copy(), v.copy()", None),
     ("src/furcasep/training.py", "if node.grad is None:", "if False:", None),
+    # overlap_add_frames rejecting hop = 1, which ModelConfig accepts
+    ("src/furcasep/layers.py", "if hop < 1 or hop > frame_len:", "if hop <= 1 or hop > frame_len:", None),
     # the graph: a rule that keeps its input Node (the gate pre-activation)
     # alive, and one more node per dense layer
     ("src/furcasep/autodiff.py", 'return record(y, "sigmoid", (a,), backward)',

@@ -489,16 +489,21 @@ class ParamStore:
         self.total_size += node.value.size
         return node
 
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view of vec, a vector laid out like values: creation order, row-major."""
+        views, offset = [], 0
+        for node in self._params.values():
+            views.append(vec[offset : offset + node.value.size].reshape(node.value.shape))
+            offset += node.value.size
+        return views
+
     def _adopt(self, vec: np.ndarray, fill: bool) -> None:
         """Make vec, a float64 vector of total_size, the parameter vector without copying it; with fill,
         the current values are copied into it first. model.load_checkpoint hands it the vector it read."""
-        offset = 0
-        for node in self._params.values():
-            view = vec[offset : offset + node.value.size].reshape(node.value.shape)
+        for node, view in zip(self._params.values(), self.views(vec)):
             if fill:
                 view[...] = node.value
             node.value = view
-            offset += view.size
         self._values = vec
 
     def _vector(self) -> np.ndarray:

@@ -38,9 +38,6 @@ class Waveform:
     def duration_s(self) -> float:
         return len(self) / self.sample_rate_hz
 
-    def energy(self) -> float:
-        return float(np.dot(self.samples, self.samples))
-
     def power(self) -> float:
         if len(self) == 0:
             return 0.0

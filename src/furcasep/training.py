@@ -62,20 +62,20 @@ ADAM_EPS = 1e-8  # update denominator guard
 
 
 class AdamState:
-    """Moments laid out like ParamStore.values, the step count, and two scratch vectors."""
+    """Adam's first and second moments, m and v, each one vector laid out like ParamStore.values,
+    and the step count."""
 
     def __init__(self, params: ParamStore, learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
         self.m = np.zeros(params.total_size)
         self.v = np.zeros(params.total_size)
-        self.grad = np.empty(params.total_size)
-        self.scratch = np.empty(params.total_size)
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
-    """Bias-corrected Adam, value -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in place over the
-    flat vectors, elementwise in that order; gradients are cleared afterwards."""
+    """Bias-corrected Adam, value -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one parameter at a
+    time, in place through its views of values, state.m and state.v. Nothing is written unless
+    every parameter has a gradient; gradients are cleared afterwards."""
     for name, node in params.items():
         if node.grad is None:
             raise ValueError(f"adam_step: parameter '{name}' has no gradient")
@@ -83,20 +83,14 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    g, s, m, v, values = state.grad, state.scratch, state.m, state.v, params.values
-    np.concatenate([node.grad for node in params.nodes()], axis=None, out=g)
-    m *= ADAM_BETA1  # m = b1 m + (1 - b1) g
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-    v *= ADAM_BETA2  # v = b2 v + (1 - b2) g g
-    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
-    v += np.multiply(s, g, out=s)
-    np.divide(m, bc1, out=s)  # the update in s, its denominator in g, which the moments no longer need
-    s *= state.learning_rate
-    np.divide(v, bc2, out=g)
-    np.sqrt(g, out=g)
-    g += ADAM_EPS
-    s /= g
-    values -= s
+    lr = state.learning_rate
+    for node, m, v in zip(params.nodes(), params.views(state.m), params.views(state.v)):
+        g = node.grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        node.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     params.zero_grad()
 
 

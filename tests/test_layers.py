@@ -460,15 +460,18 @@ class TestOverlapAddFrames:
     def test_matches_signal_overlap_add(self):
         rng = np.random.default_rng(24)
         w = Waveform(rng.normal(size=333), 8000)
-        fm = frame(w, FrameGeometry(80, 40))
-        node = ly.overlap_add_frames(constant(fm.frames), 40, 333)
-        assert np.array_equal(node.value, overlap_add(fm).samples)
+        for hop in (40, 1, 80):  # hop = 1 and hop = frame_len are the bounds ModelConfig accepts
+            fm = frame(w, FrameGeometry(80, hop))
+            node = ly.overlap_add_frames(constant(fm.frames), hop, 333)
+            assert np.array_equal(node.value, overlap_add(fm).samples), hop
+            assert np.array_equal(node.value, w.samples), hop
 
     def test_gradients(self):
         params = ParamStore()
         params.add("frames", np.random.default_rng(25).normal(size=(4, 6)))
-        err = grad_check(lambda p: ad.mean(ly.overlap_add_frames(p["frames"], 3, 14)), params)
-        assert err < 1e-4
+        for hop, original_len in ((3, 14), (1, 8), (6, 23)):  # hop = 1 and hop = frame_len as above
+            err = grad_check(lambda p: ad.mean(ly.overlap_add_frames(p["frames"], hop, original_len)), params)
+            assert err < 1e-4, hop
 
     def test_gradients_frame_len_not_multiple_of_hop(self):
         params = ParamStore()

@@ -245,6 +245,8 @@ class TestOverlapAdd:
         st.integers(min_value=1, max_value=50),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(333, 80, 1, 24)  # hop = 1
+    @example(333, 80, 80, 24)  # hop = frame_len
     @settings(max_examples=200, deadline=None)
     def test_identity_for_all_geometries(self, n, frame_len, hop, seed):
         if hop > frame_len:

@@ -1,7 +1,10 @@
 """ParamStore owns the parameter state: one float64 vector in creation order,
 every parameter's value a view of it, and each initial value declared once at
 add(). These tests pin that layout through every path that sets values, and
-Adam's flat update against the per-parameter loop it replaced."""
+Adam's update through views of its two moments against a plain per-parameter
+loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +132,7 @@ class TestDeclaredOnce:
 
 
 def reference_adam_step(nodes, moments, lr, t):
-    """The per-parameter Adam loop that adam_step replaced, kept as its reference."""
+    """Adam as a per-parameter loop over moments held one array per parameter: adam_step's reference."""
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for node, (m, v) in zip(nodes, moments):
@@ -160,3 +163,20 @@ def test_adam_step_matches_per_parameter_loop_bit_for_bit():
         assert np.array_equal(state.m, np.concatenate([m.reshape(-1) for m, _ in moments])), t
         assert np.array_equal(state.v, np.concatenate([v.reshape(-1) for _, v in moments])), t
         assert all(node.grad is None for node in flat.params.nodes())
+
+
+def test_adam_footprint_is_two_moments():
+    """AdamState plus one adam_step allocates the two moments and a few parameter-sized temporaries."""
+    model = build(ModelConfig(seed=4))  # desk widths
+    rng = np.random.default_rng(7)
+    for node in model.params.nodes():
+        node.grad = rng.normal(size=node.value.shape)
+    largest = max(node.value.nbytes for node in model.params.nodes())
+    assert largest == 262144  # bilstm2.*.w_in
+    tracemalloc.start()
+    try:
+        adam_step(model.params, AdamState(model.params, 1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * model.params.total_size + 4 * largest, peak

@@ -67,10 +67,20 @@ class TestAdam:
         assert np.array_equal(w.value, [1.0, -2.0])
 
     def test_missing_gradient_rejected(self):
+        # rejected before anything is written
         store = ParamStore()
-        store.add("w", np.array([1.0]))
-        with pytest.raises(ValueError, match="no gradient"):
-            adam_step(store, AdamState(store, 0.1))
+        a = store.add("a", np.array([1.0, -2.0]))
+        b = store.add("b", np.array([[0.5], [3.0]]))
+        state = AdamState(store, 0.1)
+        a.grad, b.grad = np.array([0.3, -0.7]), np.array([[2.0], [-1.0]])
+        adam_step(store, state)  # moments and step count away from their initial values
+        values, m, v = store.flat_values(), state.m.copy(), state.v.copy()
+        a.grad = np.array([5.0, 6.0])  # b has none
+        with pytest.raises(ValueError, match="parameter 'b' has no gradient"):
+            adam_step(store, state)
+        assert np.array_equal(store.values, values)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.step_count == 1
 
     def test_ten_steps_match_reference_loop(self):
         # independent hand-rolled Adam on f(theta) = (theta - 3)^2 from theta = 0
